@@ -66,7 +66,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rotate    = fs.Int("rotate", 0, "rotate agent locations cyclically by this many positions")
 		formats   = cliflags.FormatFlags(fs)
 		htmlOut   = fs.Bool("html", false, "emit one self-contained HTML page with SVG figures")
-		simShards = fs.Int("sim-shards", 1, "run the campaign as N concurrent simulation shards (legacy; prefer -parallelism)")
 		parallel  = fs.Int("parallelism", 0, "run the campaign on the concurrent lane engine with this many workers (0 = sequential single world)")
 		lanesN    = fs.Int("lanes", 0, "lane count for -parallelism; fixes the partition and hence the output (default 8)")
 		alternate = fs.Int("alternate", 1, "interleave Test 1/Test 2 in this many alternating blocks (the paper's four-day alternation)")
@@ -224,7 +223,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}
 		}
 		var progress func(int, int)
-		if *paper && *simShards == 1 {
+		if *paper {
 			progress = func(n, total int) {
 				if n%100 == 0 {
 					fmt.Fprintf(os.Stderr, "conprobe: %s %d/%d tests\n", name, n, total)
@@ -322,7 +321,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Breaker:          breakerCfg,
 				Metrics:          reg.Scope("conprobe").With("service", name),
 			}
-			res, err := probe.SimulateSharded(opts, *simShards)
+			res, err := probe.Simulate(opts)
 			if err != nil {
 				return err
 			}

@@ -120,9 +120,12 @@ func TestRunProfileNeedsSingleService(t *testing.T) {
 	}
 }
 
+// TestRunMarkdownAndShards renders markdown from a campaign split
+// across the lane engine's shards (-parallelism 2 over the default
+// lanes), so the merged report must still count every test once.
 func TestRunMarkdownAndShards(t *testing.T) {
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-service", "fbgroup", "-test1", "4", "-test2", "0", "-sim-shards", "2", "-md"}, &out)
+	err := run(context.Background(), []string{"-service", "fbgroup", "-test1", "4", "-test2", "0", "-parallelism", "2", "-md"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,10 @@
 // omitted directory syncs, failed renames) beneath the node's WAL,
 // term log, snapshots and durable store — e.g. -disk-fault
 // term:fsync-gate — and recovery quarantines damaged files to .corrupt
-// sidecars rather than dying or serving silently wrong state.
+// sidecars rather than dying or serving silently wrong state. A
+// quarantined cluster member rebuilds from the leader; a standalone
+// -role leader node with no -peers has nobody to rebuild from, so it
+// refuses to start, naming the sidecar that holds its acked writes.
 //
 // Cluster mode replicates the write stream across nodes: the elected
 // leader journals every accepted write to a WAL (fsync before ack),

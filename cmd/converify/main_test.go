@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,9 +28,9 @@ func traceFileN(t *testing.T, n int, svcs ...string) string {
 	defer f.Close()
 	w := trace.NewWriter(f)
 	for _, svc := range svcs {
-		res, err := probe.SimulateSharded(probe.SimulateOptions{
+		res, err := probe.SimulateConcurrent(context.Background(), probe.SimulateOptions{
 			Service: svc, Test1Count: n, Test2Count: n, Seed: 5,
-		}, 4)
+		}, probe.EngineOptions{Lanes: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,11 @@ func TestShippedExpectationsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-service campaign")
 	}
-	traces := traceFileN(t, 48, service.ProfileNames()...)
+	// The shipped bands are paper-scale prevalences. fbgroup's Tokyo
+	// partition window is a fixed 9 Test 2 instances (probe campaign
+	// defaults), so its content-divergence band (at most 5%) only holds
+	// from 180 Test 2 instances up: at 48 the window alone is 18.8%.
+	traces := traceFileN(t, 200, service.ProfileNames()...)
 	var out bytes.Buffer
 	code, err := run([]string{"-expect", "../../docs/expectations.json", traces}, nil, &out)
 	if err != nil {

@@ -476,6 +476,11 @@ func NewNode(svc service.Service, cfg Config) (*Node, error) {
 		if err := n.recover(); err != nil {
 			return nil, err
 		}
+		if n.rebuilding && len(cfg.Peers) == 0 && cfg.LeaderURL == "" {
+			err := n.refuseRebuildAlone()
+			n.closeStorageLocked()
+			return nil, err
+		}
 	}
 
 	n.mu.Lock()
@@ -516,6 +521,23 @@ func (n *Node) termPath() string { return filepath.Join(n.cfg.DataDir, "term.log
 // long as the file exists, every boot withholds votes.
 func (n *Node) rebuildingMarkerPath() string { return filepath.Join(n.cfg.DataDir, "rebuilding") }
 func (n *Node) voteHoldMarkerPath() string   { return filepath.Join(n.cfg.DataDir, "votehold") }
+
+// refuseRebuildAlone is the boot error of a node whose oplog or
+// snapshot was quarantined but which has no peers and no leader to
+// re-source it from. Serving would hand out a hole where acked writes
+// were, so the node fail-stops, naming what it set aside; the persisted
+// rebuilding marker keeps every later boot refusing until an operator
+// restores the data or points the node at a cluster.
+func (n *Node) refuseRebuildAlone() error {
+	var sidecars []string
+	for _, p := range []string{n.snapPath(), n.logPath()} {
+		if n.markerPresent(p + ".corrupt") {
+			sidecars = append(sidecars, p+".corrupt")
+		}
+	}
+	return fmt.Errorf("cluster: node %s lost its log to quarantine and has no peers or leader to rebuild from; refusing to serve a hole (damaged data kept in %q; rebuilding marker %s)",
+		n.cfg.NodeID, sidecars, n.rebuildingMarkerPath())
+}
 
 // fs returns the node's filesystem, defaulting to the real one.
 func (n *Node) fs() diskfault.FS {
@@ -631,7 +653,9 @@ func (n *Node) Rebuilding() bool {
 // mid-log oplog damage quarantines the file to a .corrupt sidecar and
 // the node boots behind (or empty); the leader's pull/snapshot-install
 // stream re-sources everything — serving a hole is never possible
-// because commitIndex restarts at the recovered floor. Until that
+// because commitIndex restarts at the recovered floor. (A node with no
+// peers and no leader has nobody to re-source from; NewNode refuses to
+// boot it, see refuseRebuildAlone.) Until that
 // re-sourcing completes the node is also a non-voter (the persisted
 // rebuilding marker): its emptied log would otherwise let HandleVote's
 // up-to-dateness gate bless candidates missing entries this node once

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +35,9 @@ func diskChaosSeeds(t *testing.T) []uint64 {
 // that hold regardless of where the damage lands:
 //
 //   - boot never fails: every corruption outcome is quarantine, torn
-//     repair, or clean recovery, never a dead node;
+//     repair, or clean recovery, never a dead node — except that a
+//     standalone node whose quarantine left it nobody to rebuild from
+//     fail-stops, naming the sidecar it kept (refusedAlone);
 //   - no acked write is lost when the disk was healthy at read time
 //     (write-side faults are NACKed before any ack escapes);
 //   - read-side damage (bit flips) either leaves all acked writes
@@ -60,6 +63,18 @@ func TestDiskFaultSweep(t *testing.T) {
 	}
 }
 
+// refusedAlone reports whether a boot error is a standalone node's
+// fail-stop on quarantined state, with the sidecar it names on disk:
+// declared damage, for a node with no leader to re-source it.
+func refusedAlone(dir string, err error) bool {
+	for _, f := range []string{"oplog.log.corrupt", "node.snap.corrupt"} {
+		if _, serr := os.Stat(filepath.Join(dir, f)); serr == nil && strings.Contains(err.Error(), f) {
+			return true
+		}
+	}
+	return false
+}
+
 // faultPath picks the Path filter for a fault aimed at file: directory
 // syncs see the directory path, not the file, so dir-sync omission
 // matches everything.
@@ -73,7 +88,7 @@ func faultPath(kind diskfault.Kind, file string) string {
 // sweepOpWAL: the fault fires while a standalone leader streams writes
 // through its op WAL; write-side faults must NACK, and a restart (for
 // bit flips, a restart reading through the rotten disk) must boot and
-// keep every acked write or declare the loss.
+// keep every acked write, or declare the loss by refusing to boot.
 func sweepOpWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 	dir := t.TempDir()
 	inj := diskfault.New(nil)
@@ -106,6 +121,9 @@ func sweepOpWAL(t *testing.T, seed uint64, kind diskfault.Kind) {
 
 	r, err := NewNode(&memSvc{}, Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, FS: restartFS})
 	if err != nil {
+		if kind == diskfault.KindBitFlip && refusedAlone(dir, err) {
+			return // declared damage: nobody to rebuild from, so fail-stop
+		}
 		t.Fatalf("recovery failed the boot: %v", err)
 	}
 	defer r.Kill()
@@ -246,6 +264,9 @@ func sweepSnapshot(t *testing.T, seed uint64, kind diskfault.Kind) {
 		NodeID: "n1", Role: RoleLeader, DataDir: dir, SnapshotEvery: 4, FS: restartFS,
 	})
 	if err != nil {
+		if kind == diskfault.KindBitFlip && refusedAlone(dir, err) {
+			return // declared damage: nobody to rebuild from, so fail-stop
+		}
 		t.Fatalf("snapshot recovery failed the boot: %v", err)
 	}
 	defer r.Kill()

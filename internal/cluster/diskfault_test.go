@@ -91,6 +91,50 @@ func TestFsyncPoisonNeverAcks(t *testing.T) {
 	}
 }
 
+// TestStandaloneLeaderRefusesToServeAHole: a standalone leader (no
+// peers, no leader URL) whose oplog or snapshot is quarantined has
+// nobody to re-source its log from. Booting it would ack new writes
+// over an emptied replica while the acked ones sit in the sidecar, so
+// it must fail-stop naming the sidecar — on this boot and, through the
+// persisted rebuilding marker, on every later one.
+func TestStandaloneLeaderRefusesToServeAHole(t *testing.T) {
+	for _, tc := range []struct {
+		name, damaged string
+		snapshotEvery int
+	}{
+		{name: "oplog", damaged: "oplog.log"},
+		// Four of the six writes compact into the snapshot.
+		{name: "snapshot", damaged: "node.snap", snapshotEvery: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{NodeID: "n1", Role: RoleLeader, DataDir: dir, SnapshotEvery: tc.snapshotEvery}
+			n, err := NewNode(&memSvc{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeOps(t, n, 0, 6)
+			n.Kill()
+			flipByte(t, filepath.Join(dir, tc.damaged), 12)
+
+			sidecar := tc.damaged + ".corrupt"
+			for boot := 1; boot <= 2; boot++ {
+				r, err := NewNode(&memSvc{}, cfg)
+				if err == nil {
+					r.Kill()
+					t.Fatalf("boot %d: standalone leader served a quarantined log", boot)
+				}
+				if !strings.Contains(err.Error(), sidecar) {
+					t.Fatalf("boot %d: refusal does not name %s: %v", boot, sidecar, err)
+				}
+				if _, err := os.Stat(filepath.Join(dir, sidecar)); err != nil {
+					t.Fatalf("boot %d: sidecar not kept: %v", boot, err)
+				}
+			}
+		})
+	}
+}
+
 // TestQuarantinedFollowerRejoinsViaSnapshot pins recovery path (a): a
 // follower whose op WAL rots below its committed index quarantines the
 // damaged file to a .corrupt sidecar and rejoins through the leader's

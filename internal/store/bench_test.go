@@ -13,27 +13,32 @@ import (
 // BenchmarkShardedStoreHotPath measures the replica hot path under
 // contention: 8 goroutines issuing a 90/10 read/write mix against a
 // three-site strong-mode cluster. The baseline variant reproduces the
-// pre-shard store — one lock stripe and a full merge+sort on every
-// read — while the sharded variant uses the default stripe count and
-// the generation-invalidated timeline cache. scripts/bench.sh records
-// the ratio in BENCH_<host>.json.
+// pre-shard store — one lock stripe, and every read rendered by the
+// reference's full sort (refRead) — while the sharded variant uses 16
+// stripes and the generation-invalidated timeline cache.
+// scripts/bench.sh records the ratio in BENCH_<host>.json.
 func BenchmarkShardedStoreHotPath(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		shards  int
-		noCache bool
+		name   string
+		shards int
+		read   func(*Cluster, simnet.Site) error
 	}{
-		{name: "baseline", shards: 1, noCache: true},
-		{name: "sharded", shards: 16, noCache: false},
+		{name: "baseline", shards: 1, read: func(c *Cluster, dc simnet.Site) error {
+			refRead(c, dc)
+			return nil
+		}},
+		{name: "sharded", shards: 16, read: func(c *Cluster, dc simnet.Site) error {
+			_, err := c.Read(dc)
+			return err
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			sites := []simnet.Site{simnet.DCWest, simnet.DCEast, simnet.DCEurope}
 			net := simnet.DefaultTopology(1)
 			c, err := NewCluster(vtime.Real{}, net, Config{
-				Mode:             Strong,
-				Sites:            sites,
-				Shards:           bc.shards,
-				DisableReadCache: bc.noCache,
+				Mode:   Strong,
+				Sites:  sites,
+				Shards: bc.shards,
 			}, 1)
 			if err != nil {
 				b.Fatal(err)
@@ -62,7 +67,7 @@ func BenchmarkShardedStoreHotPath(b *testing.B) {
 								return
 							}
 						} else {
-							if _, err := c.Read(sites[i%len(sites)]); err != nil {
+							if err := bc.read(c, sites[i%len(sites)]); err != nil {
 								b.Error(err)
 								return
 							}

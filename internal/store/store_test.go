@@ -235,8 +235,8 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 			return
 		}
 		s.Sleep(time.Second)
-		// Manually re-deliver.
-		c.deliver(simnet.DCWest, simnet.DCAsia, e)
+		// Apply the delivered entry a second time.
+		c.apply(c.replicas[simnet.DCAsia], e, s.Now())
 		if c.Len(simnet.DCAsia) != 1 {
 			t.Errorf("duplicate delivery created %d entries", c.Len(simnet.DCAsia))
 		}

@@ -9,19 +9,19 @@ import (
 )
 
 // timerWheel coalesces every shard's pending-delivery deadline into one
-// cluster-wide schedule backed by a single clock timer. The per-shard
-// drainer timers it replaces cost one timer event — and, under vtime,
-// one transient goroutine — per (site, shard) head movement; the wheel
-// arms exactly one timer at the globally earliest due time and drains
-// every due shard from that one event, in deterministic (due time,
-// registration order).
+// cluster-wide schedule backed by a single clock timer. One timer per
+// (site, shard) would cost one timer event — and, under vtime, one
+// transient goroutine — per head movement; the wheel arms exactly one
+// timer at the globally earliest due time and drains every due shard
+// from that one event, in deterministic (due time, registration order).
 //
 // Registrations are lazy: a shard that re-registers at an earlier time
 // simply pushes a second heap entry and the superseded one is discarded
 // when popped (its time no longer matches the shard's live registration
-// in shard.wheelAt). Firing therefore applies deliveries at exactly the
-// instants the per-shard timers would have — the wheel changes how many
-// timer events exist, never when a delivery lands.
+// in shard.wheelAt). Firing therefore applies each delivery at exactly
+// its due instant — the wheel changes how many timer events exist,
+// never when a delivery lands. reference_test.go computes those
+// instants without the wheel and checks the store against them.
 type timerWheel struct {
 	mu    sync.Mutex
 	queue wheelQueue
@@ -143,9 +143,10 @@ func (c *Cluster) wheelFire(gen uint64) {
 	w.mu.Unlock()
 }
 
-// drainShard applies every due pending delivery of one shard, exactly
-// like the per-shard timer drain, then re-registers the shard for its
-// next deadline.
+// drainShard applies every pending delivery of one shard that has come
+// due, in (due time, schedule order), then re-registers the shard for
+// its next deadline. Deliveries blocked by a partition are re-queued one
+// RetryInterval out; deliveries from before a Reset are dropped.
 func (c *Cluster) drainShard(r *replica, sh *shard) {
 	now := c.clock.Now()
 	sh.mu.Lock()

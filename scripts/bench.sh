@@ -24,8 +24,9 @@ hot=$(go test -run '^$' -bench 'BenchmarkMetricsHotPath$' -benchmem ./internal/o
 echo "$hot"
 
 # The sharded store hot path must hold its speedup over the pre-shard
-# baseline (one lock stripe, no read cache); the ratio lands in the
-# snapshot so a regression shows up as a falling "speedup".
+# baseline (one lock stripe, every read a full sort through the store
+# tests' reference renderer); the ratio lands in the snapshot so a
+# regression shows up as a falling "speedup".
 storeraw=$(go test -run '^$' -bench 'BenchmarkShardedStoreHotPath' -benchtime "${STORE_BENCHTIME:-0.5s}" ./internal/store)
 echo "$storeraw"
 
