@@ -443,20 +443,24 @@ func BenchmarkAblationSessionMasking(b *testing.B) {
 
 // --- Micro-benchmarks: hot paths -------------------------------------------
 
+// firstTest2 returns the first Test 2 trace of svc's bench campaign.
+func firstTest2(b *testing.B, svc string) *trace.TestTrace {
+	b.Helper()
+	_, traces := benchCampaign(b, svc)
+	for _, t := range traces {
+		if t.Kind == trace.Test2 {
+			return t
+		}
+	}
+	b.Fatal("no test2 trace")
+	return nil
+}
+
 // BenchmarkCheckTest measures the full checker battery over a realistic
 // Test 2 trace.
 func BenchmarkCheckTest(b *testing.B) {
-	_, traces := benchCampaign(b, service.NameFBFeed)
-	var tr *trace.TestTrace
-	for _, t := range traces {
-		if t.Kind == trace.Test2 {
-			tr = t
-			break
-		}
-	}
-	if tr == nil {
-		b.Fatal("no test2 trace")
-	}
+	tr := firstTest2(b, service.NameFBFeed)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if vs := core.CheckTest(tr); len(vs) == 0 {
@@ -468,21 +472,25 @@ func BenchmarkCheckTest(b *testing.B) {
 // BenchmarkDivergenceWindows measures the timeline-scan window
 // computation.
 func BenchmarkDivergenceWindows(b *testing.B) {
-	_, traces := benchCampaign(b, service.NameGooglePlus)
-	var tr *trace.TestTrace
-	for _, t := range traces {
-		if t.Kind == trace.Test2 {
-			tr = t
-			break
-		}
-	}
-	if tr == nil {
-		b.Fatal("no test2 trace")
-	}
+	tr := firstTest2(b, service.NameGooglePlus)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.ContentDivergenceWindows(tr)
 		_ = core.OrderDivergenceWindows(tr)
+	}
+}
+
+// BenchmarkAggregatorAddTest2 measures the streaming analysis of one
+// googleplus Test 2 trace: every divergence checker and window scan, as
+// a campaign lane runs them on each completed test.
+func BenchmarkAggregatorAddTest2(b *testing.B) {
+	tr := firstTest2(b, service.NameGooglePlus)
+	agg := analysis.NewAggregator(service.NameGooglePlus)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.Add(tr)
 	}
 }
 

@@ -6,8 +6,8 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -172,17 +172,33 @@ func Analyze(serviceName string, traces []*trace.TestTrace) *Report {
 	return a.Report()
 }
 
+// sessionCheckers are the Test 1 checkers, in definition order.
+var sessionCheckers = []struct {
+	anomaly core.Anomaly
+	check   func(*trace.TestTrace) []core.Violation
+}{
+	{core.ReadYourWrites, core.CheckReadYourWrites},
+	{core.MonotonicWrites, core.CheckMonotonicWrites},
+	{core.MonotonicReads, core.CheckMonotonicReads},
+	{core.WritesFollowsReads, core.CheckWritesFollowsReads},
+}
+
+// divergenceCheckers are the Test 2 checkers with their window scans,
+// in definition order.
+var divergenceCheckers = []struct {
+	anomaly core.Anomaly
+	check   func(*trace.TestTrace) []core.Violation
+	windows func(*trace.TestTrace) []core.WindowResult
+}{
+	{core.ContentDivergence, core.CheckContentDivergence, core.ContentDivergenceWindows},
+	{core.OrderDivergence, core.CheckOrderDivergence, core.OrderDivergenceWindows},
+}
+
 func (r *Report) analyzeTest1(tr *trace.TestTrace) {
-	checkers := map[core.Anomaly]func(*trace.TestTrace) []core.Violation{
-		core.ReadYourWrites:     core.CheckReadYourWrites,
-		core.MonotonicWrites:    core.CheckMonotonicWrites,
-		core.MonotonicReads:     core.CheckMonotonicReads,
-		core.WritesFollowsReads: core.CheckWritesFollowsReads,
-	}
-	for anomaly, check := range checkers {
-		stats := r.Session[anomaly]
+	for _, c := range sessionCheckers {
+		stats := r.Session[c.anomaly]
 		stats.TestsTotal++
-		vs := check(tr)
+		vs := c.check(tr)
 		if len(vs) == 0 {
 			continue
 		}
@@ -199,26 +215,18 @@ func (r *Report) analyzeTest1(tr *trace.TestTrace) {
 }
 
 func (r *Report) analyzeTest2(tr *trace.TestTrace) {
-	type divergence struct {
-		check   func(*trace.TestTrace) []core.Violation
-		windows func(*trace.TestTrace) []core.WindowResult
-	}
-	checkers := map[core.Anomaly]divergence{
-		core.ContentDivergence: {core.CheckContentDivergence, core.ContentDivergenceWindows},
-		core.OrderDivergence:   {core.CheckOrderDivergence, core.OrderDivergenceWindows},
-	}
-	for anomaly, d := range checkers {
-		stats := r.Divergence[anomaly]
+	for _, c := range divergenceCheckers {
+		stats := r.Divergence[c.anomaly]
 		stats.TestsTotal++
 
 		diverged := make(map[core.Pair]bool)
-		for _, v := range d.check(tr) {
+		for _, v := range c.check(tr) {
 			diverged[core.MakePair(v.Agent, v.Other)] = true
 		}
 		if len(diverged) > 0 {
 			stats.TestsWithAnomaly++
 		}
-		for _, w := range d.windows(tr) {
+		for _, w := range c.windows(tr) {
 			ps := stats.PerPair[w.Pair]
 			if ps == nil {
 				ps = &PairStats{Pair: w.Pair}
@@ -247,7 +255,7 @@ func comboKey(perAgent map[trace.AgentID]int) string {
 	sort.Ints(ids)
 	parts := make([]string, len(ids))
 	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%d", id)
+		parts[i] = strconv.Itoa(id)
 	}
 	return strings.Join(parts, "+")
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"conprobe/internal/trace"
@@ -49,10 +49,19 @@ func OrderDiverged(s1, s2 []trace.WriteID) bool {
 	return ok
 }
 
+// smallScan bounds len(s1)*len(s2) for the allocation-free linear-scan
+// forms of the divergence predicates. Service reads return a handful of
+// writes, so nearly every comparison takes the scan. Longer sequences
+// use hash sets, which cost less there than the scan's quadratic work.
+const smallScan = 64
+
 // contentDiverged reports the Content Divergence condition:
 //
 //	∃ x ∈ S1, y ∈ S2 : x ∉ S2 ∧ y ∉ S1
 func contentDiverged(s1, s2 []trace.WriteID) bool {
+	if len(s1)*len(s2) <= smallScan {
+		return hasMissing(s1, s2) && hasMissing(s2, s1)
+	}
 	set1 := make(map[trace.WriteID]bool, len(s1))
 	for _, x := range s1 {
 		set1[x] = true
@@ -79,11 +88,38 @@ func contentDiverged(s1, s2 []trace.WriteID) bool {
 	return false
 }
 
+// hasMissing reports whether some element of a is absent from b.
+func hasMissing(a, b []trace.WriteID) bool {
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return true
+		}
+	}
+	return false
+}
+
 // orderDiverged reports the Order Divergence condition and, when true, a
 // witnessing pair of writes:
 //
 //	∃ x, y ∈ S1 ∩ S2 : S1(x) ≺ S1(y) ∧ S2(y) ≺ S2(x)
+//
+// The witness is the first inversion in S1 order, taking an ID that
+// repeats in S2 at its last position there.
 func orderDiverged(s1, s2 []trace.WriteID) (trace.WriteID, trace.WriteID, bool) {
+	if len(s1)*len(s2) <= smallScan {
+		for i, x := range s1 {
+			px := lastIndex(s2, x)
+			if px < 0 {
+				continue
+			}
+			for _, y := range s1[i+1:] {
+				if py := lastIndex(s2, y); py >= 0 && py < px {
+					return x, y, true
+				}
+			}
+		}
+		return "", "", false
+	}
 	pos2 := make(map[trace.WriteID]int, len(s2))
 	for i, id := range s2 {
 		pos2[id] = i
@@ -110,55 +146,113 @@ func orderDiverged(s1, s2 []trace.WriteID) (trace.WriteID, trace.WriteID, bool) 
 	return "", "", false
 }
 
+// lastIndex returns the last position of id in s, or -1.
+func lastIndex(s []trace.WriteID, id trace.WriteID) int {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == id {
+			return i
+		}
+	}
+	return -1
+}
+
 // CheckContentDivergence detects Content Divergence between every pair of
-// agents. For each pair, each of the first agent's reads that content-
-// diverges from any read of the second agent yields one violation (the
-// earliest diverging counterpart is recorded).
+// agents. For each pair it yields one violation per (read of the first
+// agent, read of the second agent) whose sequences content-diverge,
+// ordered by the first agent's read, then the second's.
 func CheckContentDivergence(tr *trace.TestTrace) []Violation {
 	return checkDivergence(tr, ContentDivergence)
 }
 
 // CheckOrderDivergence detects Order Divergence between every pair of
-// agents, one violation per diverging read of the pair's first agent.
+// agents, one violation per order-diverging pair of reads, in the same
+// order as CheckContentDivergence. Each violation carries a witnessing
+// pair of writes.
 func CheckOrderDivergence(tr *trace.TestTrace) []Violation {
 	return checkDivergence(tr, OrderDivergence)
 }
 
+// readStates collapses one agent's reads to their distinct observed
+// sequences: states holds each distinct sequence once, in order of first
+// appearance, and of[i] is the index in states of read i's sequence.
+type readStates struct {
+	states [][]trace.WriteID
+	of     []int
+}
+
+func collapseReads(rs []trace.Read) readStates {
+	st := readStates{of: make([]int, len(rs))}
+	for i := range rs {
+		k := len(st.states) - 1
+		for k >= 0 && !slices.Equal(st.states[k], rs[i].Observed) {
+			k--
+		}
+		if k < 0 {
+			k = len(st.states)
+			st.states = append(st.states, rs[i].Observed)
+		}
+		st.of[i] = k
+	}
+	return st
+}
+
+// divergence is the verdict on one pair of observed sequences: whether
+// they diverge and, for order divergence, the witnessing writes.
+type divergence struct {
+	diverged bool
+	x, y     trace.WriteID
+}
+
+// checkDivergence compares every read of each pair's first agent with
+// every read of its second, as the definitions prescribe. A verdict
+// depends only on the two observed sequences, so each pair of distinct
+// states is decided once and every pair of reads looks its verdict up.
 func checkDivergence(tr *trace.TestTrace, kind Anomaly) []Violation {
 	reads := tr.ReadsByAgent()
-	var out []Violation
+	states := make(map[trace.AgentID]readStates, len(reads))
+	for ag, rs := range reads {
+		states[ag] = collapseReads(rs)
+	}
+	var (
+		out  []Violation
+		memo []divergence
+	)
 	for _, p := range Pairs(tr) {
-		ra, rb := reads[p.A], reads[p.B]
-		for i := range ra {
-			for j := range rb {
-				switch kind {
-				case ContentDivergence:
-					if contentDiverged(ra[i].Observed, rb[j].Observed) {
-						out = append(out, Violation{
-							Anomaly:   ContentDivergence,
-							Agent:     p.A,
-							Other:     p.B,
-							ReadIndex: i,
-						})
-						j = len(rb) // one violation per read of A
-					}
-				case OrderDivergence:
-					if x, y, ok := orderDiverged(ra[i].Observed, rb[j].Observed); ok {
-						out = append(out, Violation{
-							Anomaly:   OrderDivergence,
-							Agent:     p.A,
-							Other:     p.B,
-							ReadIndex: i,
-							Write:     x,
-							Write2:    y,
-						})
-						j = len(rb)
-					}
+		a, b := states[p.A], states[p.B]
+		nb := len(b.states)
+		memo = memo[:0]
+		for _, sa := range a.states {
+			for _, sb := range b.states {
+				memo = append(memo, decide(sa, sb, kind))
+			}
+		}
+		for i, ka := range a.of {
+			row := memo[ka*nb : (ka+1)*nb]
+			for _, kb := range b.of {
+				if d := row[kb]; d.diverged {
+					out = append(out, Violation{
+						Anomaly:   kind,
+						Agent:     p.A,
+						Other:     p.B,
+						ReadIndex: i,
+						Write:     d.x,
+						Write2:    d.y,
+					})
 				}
 			}
 		}
 	}
 	return out
+}
+
+// decide evaluates the kind's divergence condition on one pair of
+// sequences.
+func decide(s1, s2 []trace.WriteID, kind Anomaly) divergence {
+	if kind == ContentDivergence {
+		return divergence{diverged: contentDiverged(s1, s2)}
+	}
+	x, y, ok := orderDiverged(s1, s2)
+	return divergence{diverged: ok, x: x, y: y}
 }
 
 // WindowResult summarizes the divergence windows observed between one pair
@@ -185,43 +279,48 @@ type WindowResult struct {
 // are measured between read-completion events, mirroring the paper's
 // "as determined by the most recent read" rule.
 func ContentDivergenceWindows(tr *trace.TestTrace) []WindowResult {
-	return divergenceWindows(tr, func(s1, s2 []trace.WriteID) bool {
-		return contentDiverged(s1, s2)
-	})
+	return divergenceWindows(tr, contentDiverged)
 }
 
 // OrderDivergenceWindows computes order-divergence windows per agent pair.
 func OrderDivergenceWindows(tr *trace.TestTrace) []WindowResult {
-	return divergenceWindows(tr, func(s1, s2 []trace.WriteID) bool {
-		_, _, ok := orderDiverged(s1, s2)
-		return ok
-	})
+	return divergenceWindows(tr, OrderDiverged)
 }
 
+// timelineEvent is one read on the corrected global timeline.
 type timelineEvent struct {
-	at    time.Time
-	agent trace.AgentID
-	read  *trace.Read
+	at       time.Time
+	observed []trace.WriteID
+}
+
+// timelines returns each agent's reads as corrected-time events, ordered
+// by time and, on ties, by invocation.
+func timelines(tr *trace.TestTrace) map[trace.AgentID][]timelineEvent {
+	reads := tr.ReadsByAgent()
+	out := make(map[trace.AgentID][]timelineEvent, len(reads))
+	for ag, rs := range reads {
+		evs := make([]timelineEvent, len(rs))
+		for i := range rs {
+			evs[i] = timelineEvent{at: tr.Corrected(ag, rs[i].Returned), observed: rs[i].Observed}
+		}
+		// Reads return in invocation order unless they overlapped; only
+		// then does the stream need sorting.
+		for i := 1; i < len(evs); i++ {
+			if evs[i].at.Before(evs[i-1].at) {
+				slices.SortStableFunc(evs, func(x, y timelineEvent) int { return x.at.Compare(y.at) })
+				break
+			}
+		}
+		out[ag] = evs
+	}
+	return out
 }
 
 func divergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.WriteID) bool) []WindowResult {
-	reads := tr.ReadsByAgent()
+	agents := timelines(tr)
 	var out []WindowResult
 	for _, p := range Pairs(tr) {
-		// Merge the pair's reads into one corrected-time event stream.
-		var events []timelineEvent
-		for _, ag := range []trace.AgentID{p.A, p.B} {
-			rs := reads[ag]
-			for i := range rs {
-				events = append(events, timelineEvent{
-					at:    tr.Corrected(ag, rs[i].Returned),
-					agent: ag,
-					read:  &rs[i],
-				})
-			}
-		}
-		sortEvents(events)
-
+		evA, evB := agents[p.A], agents[p.B]
 		res := WindowResult{Pair: p, Converged: true}
 		var (
 			lastA, lastB  []trace.WriteID
@@ -241,21 +340,26 @@ func divergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.WriteID
 				res.Largest = d
 			}
 		}
-		for _, ev := range events {
-			if ev.agent == p.A {
-				lastA, haveA = ev.read.Observed, true
+		// Merge the pair's streams into one corrected-time sequence; on
+		// equal times the first agent's read comes first.
+		for i, j := 0, 0; i < len(evA) || j < len(evB); {
+			var at time.Time
+			if j == len(evB) || (i < len(evA) && !evB[j].at.Before(evA[i].at)) {
+				at, lastA, haveA = evA[i].at, evA[i].observed, true
+				i++
 			} else {
-				lastB, haveB = ev.read.Observed, true
+				at, lastB, haveB = evB[j].at, evB[j].observed, true
+				j++
 			}
-			lastEventTime = ev.at
+			lastEventTime = at
 			cond := haveA && haveB && diverged(lastA, lastB)
 			switch {
 			case cond && !inWindow:
 				inWindow = true
-				windowStart = ev.at
+				windowStart = at
 			case !cond && inWindow:
 				inWindow = false
-				closeWindow(ev.at)
+				closeWindow(at)
 			}
 		}
 		if inWindow {
@@ -266,8 +370,4 @@ func divergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.WriteID
 		out = append(out, res)
 	}
 	return out
-}
-
-func sortEvents(evs []timelineEvent) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at.Before(evs[j].at) })
 }

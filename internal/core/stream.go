@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,7 +83,8 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	}
 
 	// Monotonic Writes: every writer's issue order must be respected.
-	for _, ws := range s.writes {
+	for _, writer := range sortedAgents(s.writes) {
+		ws := s.writes[writer]
 		for i := 0; i < len(ws); i++ {
 			for j := i + 1; j < len(ws); j++ {
 				py := r.Position(ws[j].ID)
@@ -132,10 +134,11 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	// Divergence against every other agent's latest read,
 	// edge-triggered.
 	s.latest[r.Agent] = append([]trace.WriteID(nil), r.Observed...)
-	for other, seq := range s.latest {
+	for _, other := range sortedAgents(s.latest) {
 		if other == r.Agent {
 			continue
 		}
+		seq := s.latest[other]
 		p := MakePair(r.Agent, other)
 		cd := contentDiverged(r.Observed, seq)
 		if cd && !s.contentDiv[p] {
@@ -176,6 +179,18 @@ func (s *Stream) Reset() {
 	s.readCount = make(map[trace.AgentID]int)
 	s.contentDiv = make(map[Pair]bool)
 	s.orderDiv = make(map[Pair]bool)
+}
+
+// sortedAgents returns the agents keyed in m in ascending ID order, so a
+// read that exposes violations against several agents reports them in a
+// fixed order.
+func sortedAgents[V any](m map[trace.AgentID]V) []trace.AgentID {
+	out := make([]trace.AgentID, 0, len(m))
+	for ag := range m {
+		out = append(out, ag)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func readContains(r *trace.Read, id trace.WriteID) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,5 +188,37 @@ func TestStreamMatchesBatchCheckers(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamViolationOrderAcrossAgents pins the order in which one read
+// reports violations involving several other agents: monotonic-writes
+// violations by writer, then divergence against each peer, both in
+// agent ID order. Map iteration order varies from run to run, so the
+// read is replayed many times.
+func TestStreamViolationOrderAcrossAgents(t *testing.T) {
+	want := []Violation{
+		{Anomaly: MonotonicWrites, Agent: 4, Write: "a1", Write2: "a2"},
+		{Anomaly: MonotonicWrites, Agent: 4, Write: "c1", Write2: "c2"},
+		{Anomaly: ContentDivergence, Agent: 1, Other: 4},
+		{Anomaly: OrderDivergence, Agent: 1, Other: 4, Write: "x", Write2: "y"},
+		{Anomaly: ContentDivergence, Agent: 2, Other: 4},
+		{Anomaly: OrderDivergence, Agent: 2, Other: 4, Write: "x", Write2: "y"},
+		{Anomaly: ContentDivergence, Agent: 3, Other: 4},
+		{Anomaly: OrderDivergence, Agent: 3, Other: 4, Write: "x", Write2: "y"},
+	}
+	for run := 0; run < 50; run++ {
+		s := NewStream()
+		s.ObserveWrite(wr("a1", 1, 1, 0, 10))
+		s.ObserveWrite(wr("a2", 1, 2, 20, 30))
+		s.ObserveWrite(wr("c1", 3, 1, 0, 10))
+		s.ObserveWrite(wr("c2", 3, 2, 20, 30))
+		s.ObserveRead(rd(1, 100, 110, "y", "x", "p1", "a1", "a2"))
+		s.ObserveRead(rd(2, 100, 110, "y", "x", "p2"))
+		s.ObserveRead(rd(3, 100, 110, "y", "x", "p3", "c1", "c2"))
+		got := s.ObserveRead(rd(4, 200, 210, "x", "y", "p4", "c2", "c1", "a2", "a1"))
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: violations\n%+v\nwant\n%+v", run, got, want)
+		}
 	}
 }

@@ -30,6 +30,12 @@ echo "$hot"
 storeraw=$(go test -run '^$' -bench 'BenchmarkShardedStoreHotPath' -benchtime "${STORE_BENCHTIME:-0.5s}" ./internal/store)
 echo "$storeraw"
 
+# The checker's cost per trace: the full battery on an fbfeed Test 2
+# trace, the divergence window scans and the streaming aggregator on a
+# googleplus Test 2 trace, each as ns/op and allocs/op.
+checkraw=$(go test -run '^$' -bench 'BenchmarkCheckTest$|BenchmarkDivergenceWindows$|BenchmarkAggregatorAddTest2$' -benchmem .)
+echo "$checkraw"
+
 # A short closed-loop conload run against the in-process fbgroup profile
 # records end-to-end service latency percentiles next to the
 # microbenchmarks.
@@ -107,6 +113,22 @@ END {
 		printf "  \"store_hot_path\": {\"baseline_ns_per_op\": %d, \"sharded_ns_per_op\": %d, \"speedup\": %.2f},\n", base, shard, base / shard
 	else
 		printf "  \"store_hot_path\": null,\n"
+}'
+	echo "$checkraw" | awk '
+function entry(name) {
+	if (name in ns)
+		return sprintf("{\"ns_per_op\": %d, \"allocs_per_op\": %d}", ns[name], allocs[name])
+	return "null"
+}
+/^Benchmark(CheckTest|DivergenceWindows|AggregatorAddTest2)(-[0-9]+)?[ \t]/ {
+	name = $1
+	sub(/-[0-9]+$/, "", name)
+	ns[name] = $3
+	allocs[name] = $7
+}
+END {
+	printf "  \"checker\": {\"check_test\": %s, \"divergence_windows\": %s, \"aggregator_add_test2\": %s},\n", \
+		entry("BenchmarkCheckTest"), entry("BenchmarkDivergenceWindows"), entry("BenchmarkAggregatorAddTest2")
 }'
 	printf '  "conload": '
 	cat "$loadtmp"
