@@ -499,6 +499,7 @@ func BenchmarkAggregatorAddTest2(b *testing.B) {
 func BenchmarkSimScheduler(b *testing.B) {
 	sim := vtime.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	const actors = 8
+	b.ReportAllocs()
 	per := b.N/actors + 1
 	for a := 0; a < actors; a++ {
 		a := a
@@ -572,6 +573,7 @@ func BenchmarkCampaign(b *testing.B) {
 	for _, svc := range []string{service.NameBlogger, service.NameFBGroup} {
 		svc := svc
 		b.Run(svc, func(b *testing.B) {
+			b.ReportAllocs()
 			res, err := probe.Simulate(probe.SimulateOptions{
 				Service:    svc,
 				Test1Count: b.N,
@@ -607,6 +609,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 				Seed:          benchSeed,
 				DiscardTraces: true,
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := probe.SimulateConcurrent(context.Background(), opts, probe.EngineOptions{

@@ -172,17 +172,6 @@ func Analyze(serviceName string, traces []*trace.TestTrace) *Report {
 	return a.Report()
 }
 
-// sessionCheckers are the Test 1 checkers, in definition order.
-var sessionCheckers = []struct {
-	anomaly core.Anomaly
-	check   func(*trace.TestTrace) []core.Violation
-}{
-	{core.ReadYourWrites, core.CheckReadYourWrites},
-	{core.MonotonicWrites, core.CheckMonotonicWrites},
-	{core.MonotonicReads, core.CheckMonotonicReads},
-	{core.WritesFollowsReads, core.CheckWritesFollowsReads},
-}
-
 // divergenceCheckers are the Test 2 checkers with their window scans,
 // in definition order.
 var divergenceCheckers = []struct {
@@ -195,10 +184,10 @@ var divergenceCheckers = []struct {
 }
 
 func (r *Report) analyzeTest1(tr *trace.TestTrace) {
-	for _, c := range sessionCheckers {
-		stats := r.Session[c.anomaly]
+	for _, res := range core.CheckSession(tr) {
+		stats := r.Session[res.Anomaly]
 		stats.TestsTotal++
-		vs := c.check(tr)
+		vs := res.Violations
 		if len(vs) == 0 {
 			continue
 		}

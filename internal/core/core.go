@@ -33,9 +33,14 @@ const (
 	OrderDivergence
 )
 
-// SessionAnomalies lists the four session-guarantee anomalies.
+// SessionAnomalies lists the four session-guarantee anomalies, in the
+// order CheckSession reports them.
 func SessionAnomalies() []Anomaly {
-	return []Anomaly{ReadYourWrites, MonotonicWrites, MonotonicReads, WritesFollowsReads}
+	out := make([]Anomaly, len(sessionCheckers))
+	for i, c := range sessionCheckers {
+		out[i] = c.anomaly
+	}
+	return out
 }
 
 // DivergenceAnomalies lists the two divergence anomalies.
@@ -95,10 +100,9 @@ type Violation struct {
 // trace can in principle exhibit any anomaly.
 func CheckTest(tr *trace.TestTrace) []Violation {
 	var out []Violation
-	out = append(out, CheckReadYourWrites(tr)...)
-	out = append(out, CheckMonotonicWrites(tr)...)
-	out = append(out, CheckMonotonicReads(tr)...)
-	out = append(out, CheckWritesFollowsReads(tr)...)
+	for _, res := range CheckSession(tr) {
+		out = append(out, res.Violations...)
+	}
 	out = append(out, CheckContentDivergence(tr)...)
 	out = append(out, CheckOrderDivergence(tr)...)
 	return out

@@ -161,9 +161,9 @@ func refDivergenceWindows(tr *trace.TestTrace, diverged func(s1, s2 []trace.Writ
 }
 
 // assertMatchesReference checks every divergence entry point on tr
-// against the reference. CheckTest ends with the two divergence
-// checkers' output; its session part comes from checkers this file does
-// not replace, so only its length is checked.
+// against the reference. CheckTest must be exactly the session
+// checkers' output, which this file does not replace, followed by the
+// reference divergence violations.
 func assertMatchesReference(t *testing.T, tr *trace.TestTrace) {
 	t.Helper()
 	cd := refCheckDivergence(tr, ContentDivergence)
@@ -180,12 +180,10 @@ func assertMatchesReference(t *testing.T, tr *trace.TestTrace) {
 	if got, want := OrderDivergenceWindows(tr), refDivergenceWindows(tr, refOrderPredicate); !slices.Equal(got, want) {
 		t.Fatalf("OrderDivergenceWindows = %+v\nreference %+v", got, want)
 	}
-	all := CheckTest(tr)
-	div := append(cd, od...)
-	session := len(CheckReadYourWrites(tr)) + len(CheckMonotonicWrites(tr)) +
-		len(CheckMonotonicReads(tr)) + len(CheckWritesFollowsReads(tr))
-	if len(all) != session+len(div) || !slices.Equal(all[session:], div) {
-		t.Fatalf("CheckTest divergence tail = %+v\nreference %+v", all[min(session, len(all)):], div)
+	want := slices.Concat(CheckReadYourWrites(tr), CheckMonotonicWrites(tr),
+		CheckMonotonicReads(tr), CheckWritesFollowsReads(tr), cd, od)
+	if got := CheckTest(tr); !slices.Equal(got, want) {
+		t.Fatalf("CheckTest = %+v\nwant %+v", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -205,6 +206,39 @@ func TestMRHighWaterCountsDisappearanceOncePerRead(t *testing.T) {
 	}
 }
 
+// TestMRHighWaterResetBetweenAgents checks that disappeared writes are
+// reported in the order the agent first saw them, and that the high
+// water, reused from one agent to the next, does not charge agent 2
+// with agent 1's writes.
+func TestMRHighWaterResetBetweenAgents(t *testing.T) {
+	reads := []trace.Read{
+		rd(1, 0, 10, "m3", "m1"),
+		rd(1, 100, 110, "m2", "m1", "m3"),
+		rd(1, 200, 210),
+		rd(2, 0, 10, "m4"),
+		rd(2, 100, 110),
+	}
+	v := func(agent, ri int, w trace.WriteID) Violation {
+		return Violation{Anomaly: MonotonicReads, Agent: trace.AgentID(agent), ReadIndex: ri, Write: w}
+	}
+	want := []Violation{v(1, 2, "m3"), v(1, 2, "m1"), v(1, 2, "m2"), v(2, 1, "m4")}
+	if got := CheckMonotonicReads(newTrace(2, nil, reads)); !slices.Equal(got, want) {
+		t.Fatalf("violations\n%+v\nwant\n%+v", got, want)
+	}
+	s := NewStream()
+	var got []Violation
+	for _, r := range reads {
+		for _, v := range s.ObserveRead(r) {
+			if v.Anomaly == MonotonicReads {
+				got = append(got, v)
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("stream violations\n%+v\nwant\n%+v", got, want)
+	}
+}
+
 func TestMRSeparateAgentsIndependent(t *testing.T) {
 	// Agent 2 never saw m1, so its empty read is fine.
 	tr := newTrace(2, nil,
@@ -331,6 +365,83 @@ func TestViolationString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.v.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+// TestSessionViolationOrderAcrossAgents pins the order of the batch
+// session checkers' violations, alone and through CheckSession: readers
+// and writers in agent ID order, each agent's reads in invocation order,
+// and disappeared writes in the order the agent first saw them. The
+// checkers group the trace into per-agent maps, whose iteration order
+// varies from run to run, so the checks are replayed many times. The
+// stream's monotonic-reads loop must agree with the batch checker.
+func TestSessionViolationOrderAcrossAgents(t *testing.T) {
+	z := wr("z", 1, 2, 20, 30)
+	z.Trigger = "p"
+	writes := []trace.Write{z, wr("w4", 4, 1, 0, 10), wr("w3", 3, 1, 0, 10), wr("w2", 2, 1, 0, 10), wr("w1", 1, 1, 0, 10)}
+	var reads []trace.Read
+	for ag := 4; ag >= 1; ag-- {
+		// Every agent first sees p and q, then only z: its own write goes
+		// missing, z arrives without its trigger p, writer 1's w1 is
+		// missing behind z, and p and q disappear.
+		reads = append(reads, rd(ag, 200, 210, "z"), rd(ag, 100, 110, "p", "q"))
+	}
+	tr := newTrace(4, writes, reads)
+	v := func(a Anomaly, agent, ri int, w, w2 trace.WriteID) Violation {
+		return Violation{Anomaly: a, Agent: trace.AgentID(agent), ReadIndex: ri, Write: w, Write2: w2}
+	}
+	checks := []struct {
+		check func(*trace.TestTrace) []Violation
+		want  []Violation
+	}{
+		{CheckReadYourWrites, []Violation{
+			v(ReadYourWrites, 1, 0, "w1", ""), v(ReadYourWrites, 1, 0, "z", ""), v(ReadYourWrites, 1, 1, "w1", ""),
+			v(ReadYourWrites, 2, 0, "w2", ""), v(ReadYourWrites, 2, 1, "w2", ""),
+			v(ReadYourWrites, 3, 0, "w3", ""), v(ReadYourWrites, 3, 1, "w3", ""),
+			v(ReadYourWrites, 4, 0, "w4", ""), v(ReadYourWrites, 4, 1, "w4", ""),
+		}},
+		{CheckMonotonicWrites, []Violation{
+			v(MonotonicWrites, 1, 1, "w1", "z"), v(MonotonicWrites, 2, 1, "w1", "z"),
+			v(MonotonicWrites, 3, 1, "w1", "z"), v(MonotonicWrites, 4, 1, "w1", "z"),
+		}},
+		{CheckMonotonicReads, []Violation{
+			v(MonotonicReads, 1, 1, "p", ""), v(MonotonicReads, 1, 1, "q", ""),
+			v(MonotonicReads, 2, 1, "p", ""), v(MonotonicReads, 2, 1, "q", ""),
+			v(MonotonicReads, 3, 1, "p", ""), v(MonotonicReads, 3, 1, "q", ""),
+			v(MonotonicReads, 4, 1, "p", ""), v(MonotonicReads, 4, 1, "q", ""),
+		}},
+		{CheckWritesFollowsReads, []Violation{
+			v(WritesFollowsReads, 1, 1, "p", "z"), v(WritesFollowsReads, 2, 1, "p", "z"),
+			v(WritesFollowsReads, 3, 1, "p", "z"), v(WritesFollowsReads, 4, 1, "p", "z"),
+		}},
+	}
+	for run := 0; run < 50; run++ {
+		session := CheckSession(tr)
+		for i, c := range checks {
+			if got := c.check(tr); !slices.Equal(got, c.want) {
+				t.Fatalf("run %d, checker %d: violations\n%+v\nwant\n%+v", run, i, got, c.want)
+			}
+			if res := session[i]; res.Anomaly != c.want[0].Anomaly || !slices.Equal(res.Violations, c.want) {
+				t.Fatalf("run %d: CheckSession[%d]\n%+v\nwant\n%+v", run, i, res, c.want)
+			}
+		}
+		s := NewStream()
+		for _, w := range writes {
+			s.ObserveWrite(w)
+		}
+		var mr []Violation
+		for ag := 1; ag <= 4; ag++ {
+			for _, r := range []trace.Read{rd(ag, 100, 110, "p", "q"), rd(ag, 200, 210, "z")} {
+				for _, got := range s.ObserveRead(r) {
+					if got.Anomaly == MonotonicReads {
+						mr = append(mr, got)
+					}
+				}
+			}
+		}
+		if want := checks[2].want; !slices.Equal(mr, want) {
+			t.Fatalf("run %d: stream monotonic reads\n%+v\nwant\n%+v", run, mr, want)
 		}
 	}
 }

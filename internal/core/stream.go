@@ -26,7 +26,7 @@ type Stream struct {
 	writes map[trace.AgentID][]trace.Write
 	byID   map[trace.WriteID]trace.Write
 	// seen is each agent's monotonic-reads high water.
-	seen map[trace.AgentID]map[trace.WriteID]bool
+	seen map[trace.AgentID]*highWater
 	// latest is each agent's most recent read sequence.
 	latest map[trace.AgentID][]trace.WriteID
 	// readCount indexes reads per agent.
@@ -41,7 +41,7 @@ func NewStream() *Stream {
 	return &Stream{
 		writes:     make(map[trace.AgentID][]trace.Write),
 		byID:       make(map[trace.WriteID]trace.Write),
-		seen:       make(map[trace.AgentID]map[trace.WriteID]bool),
+		seen:       make(map[trace.AgentID]*highWater),
 		latest:     make(map[trace.AgentID][]trace.WriteID),
 		readCount:  make(map[trace.AgentID]int),
 		contentDiv: make(map[Pair]bool),
@@ -103,19 +103,19 @@ func (s *Stream) ObserveRead(r trace.Read) []Violation {
 	}
 
 	// Monotonic Reads: nothing this agent has seen may disappear.
-	if s.seen[r.Agent] == nil {
-		s.seen[r.Agent] = make(map[trace.WriteID]bool)
+	seen := s.seen[r.Agent]
+	if seen == nil {
+		seen = &highWater{}
+		s.seen[r.Agent] = seen
 	}
-	for id := range s.seen[r.Agent] {
+	for _, id := range seen.order {
 		if !readContains(&r, id) {
 			out = append(out, Violation{
 				Anomaly: MonotonicReads, Agent: r.Agent, ReadIndex: idx, Write: id,
 			})
 		}
 	}
-	for _, id := range r.Observed {
-		s.seen[r.Agent][id] = true
-	}
+	seen.add(r.Observed)
 
 	// Writes Follows Reads: dependent writes require their triggers.
 	for _, id := range r.Observed {
@@ -174,7 +174,7 @@ func (s *Stream) Reset() {
 	defer s.mu.Unlock()
 	s.writes = make(map[trace.AgentID][]trace.Write)
 	s.byID = make(map[trace.WriteID]trace.Write)
-	s.seen = make(map[trace.AgentID]map[trace.WriteID]bool)
+	s.seen = make(map[trace.AgentID]*highWater)
 	s.latest = make(map[trace.AgentID][]trace.WriteID)
 	s.readCount = make(map[trace.AgentID]int)
 	s.contentDiv = make(map[Pair]bool)

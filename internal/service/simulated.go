@@ -282,7 +282,7 @@ func (s *Simulated) BeginTest(id int) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		st.nonces = make(map[string]uint64)
+		clear(st.nonces)
 		st.mu.Unlock()
 	}
 	s.cluster.BeginEpoch(uint64(id) * epochStride)

@@ -35,9 +35,11 @@
 package store
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,14 +146,17 @@ func (k OrderKind) String() string {
 }
 
 // less orders entries under the policy.
-func (p TimestampPolicy) less(a, b Entry) bool {
-	if !a.CreatedAt.Equal(b.CreatedAt) {
-		return a.CreatedAt.Before(b.CreatedAt)
+func (p TimestampPolicy) less(a, b Entry) bool { return p.compare(a, b) < 0 }
+
+// compare is the three-way form of less.
+func (p TimestampPolicy) compare(a, b Entry) int {
+	if c := a.CreatedAt.Compare(b.CreatedAt); c != 0 {
+		return c
 	}
 	if p.ReverseTies {
-		return a.ArrivalSeq > b.ArrivalSeq
+		return cmp.Compare(b.ArrivalSeq, a.ArrivalSeq)
 	}
-	return a.ArrivalSeq < b.ArrivalSeq
+	return cmp.Compare(a.ArrivalSeq, b.ArrivalSeq)
 }
 
 // Config parameterizes a Cluster.
@@ -602,13 +607,14 @@ func (r *replica) gensCurrent(gens []uint64) bool {
 
 // sortApplied orders records by (apply time, ArrivalSeq) — the merged
 // arrival order, matching the append-under-one-lock order of the
-// pre-shard store.
+// pre-shard store. ArrivalSeq is unique per entry and a replica applies
+// an entry once, so the order is total and an unstable sort is exact.
 func sortApplied(recs []appliedEntry) {
-	sort.Slice(recs, func(i, j int) bool {
-		if !recs[i].at.Equal(recs[j].at) {
-			return recs[i].at.Before(recs[j].at)
+	slices.SortFunc(recs, func(a, b appliedEntry) int {
+		if c := a.at.Compare(b.at); c != 0 {
+			return c
 		}
-		return recs[i].e.ArrivalSeq < recs[j].e.ArrivalSeq
+		return cmp.Compare(a.e.ArrivalSeq, b.e.ArrivalSeq)
 	})
 }
 
@@ -621,16 +627,12 @@ func sortApplied(recs []appliedEntry) {
 func (r *replica) refreshLocked(p TimestampPolicy) {
 	cc := &r.cache
 	n := len(r.shards)
-	gens := make([]uint64, n)
-	offsets := make([]int, n)
-	full := cc.gens == nil
+	full := len(cc.gens) == 0
 	var batch []appliedEntry
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 	}
 	for i, sh := range r.shards {
-		gens[i] = sh.gen.Load()
-		offsets[i] = len(sh.recs)
 		if !full && cc.offsets[i] > len(sh.recs) {
 			full = true
 		}
@@ -649,6 +651,13 @@ func (r *replica) refreshLocked(p TimestampPolicy) {
 			batch = append(batch, sh.recs[cc.offsets[i]:]...)
 		}
 	}
+	// Snapshot the generations and offsets into the cache's own slices,
+	// which a Reset truncates rather than drops.
+	cc.gens, cc.offsets = cc.gens[:0], cc.offsets[:0]
+	for _, sh := range r.shards {
+		cc.gens = append(cc.gens, sh.gen.Load())
+		cc.offsets = append(cc.offsets, len(sh.recs))
+	}
 	for i := n - 1; i >= 0; i-- {
 		r.shards[i].mu.Unlock()
 	}
@@ -666,7 +675,7 @@ func (r *replica) refreshLocked(p TimestampPolicy) {
 			for i, rec := range batch {
 				add[i] = rec.e
 			}
-			sort.SliceStable(add, func(i, j int) bool { return p.less(add[i], add[j]) })
+			slices.SortStableFunc(add, p.compare)
 			if n := len(cc.sorted); n == 0 || !p.less(add[0], cc.sorted[n-1]) {
 				cc.sorted = append(cc.sorted, add...)
 			} else {
@@ -690,8 +699,6 @@ func (r *replica) refreshLocked(p TimestampPolicy) {
 			cc.merged = append(cc.merged[:cut:cut], tail...)
 		}
 	}
-	cc.gens = gens
-	cc.offsets = offsets
 	cc.hybrid = nil // rendered against the previous merged timeline
 }
 
@@ -722,7 +729,7 @@ func (r *replica) timeline(c *Cluster, needSorted bool) (merged []appliedEntry, 
 	cc := &r.cache
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.gens == nil || !r.gensCurrent(cc.gens) {
+	if len(cc.gens) == 0 || !r.gensCurrent(cc.gens) {
 		r.refreshLocked(p)
 	}
 	merged = cc.merged
@@ -742,7 +749,7 @@ func sortEntriesByPolicy(recs []appliedEntry, p TimestampPolicy) []Entry {
 	for i, rec := range recs {
 		out[i] = rec.e
 	}
-	sort.SliceStable(out, func(i, j int) bool { return p.less(out[i], out[j]) })
+	slices.SortStableFunc(out, p.compare)
 	return out
 }
 
@@ -793,7 +800,7 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 func (r *replica) hybridTimeline(c *Cluster, cutoff time.Time) []Entry {
 	cc := &r.cache
 	cc.mu.Lock()
-	if cc.gens == nil || !r.gensCurrent(cc.gens) {
+	if len(cc.gens) == 0 || !r.gensCurrent(cc.gens) {
 		r.refreshLocked(c.cfg.Policy)
 	}
 	if cc.hybrid == nil || !cc.hybridCutoff.Equal(cutoff) {
@@ -874,7 +881,7 @@ func (c *Cluster) resetTo(epoch uint64) {
 		for _, sh := range r.shards {
 			sh.mu.Lock()
 			sh.recs = nil
-			sh.appliedAt = make(map[string]time.Time)
+			clear(sh.appliedAt)
 			sh.pending = nil
 			c.wheelUnregister(sh)
 			sh.gen.Add(1)
@@ -887,8 +894,8 @@ func (c *Cluster) resetTo(epoch uint64) {
 		// rebuild here closes that window. (No shard lock is held, so
 		// this cannot invert the cache.mu -> sh.mu order used by reads.)
 		r.cache.mu.Lock()
-		r.cache.gens = nil
-		r.cache.offsets = nil
+		r.cache.gens = r.cache.gens[:0]
+		r.cache.offsets = r.cache.offsets[:0]
 		r.cache.merged = nil
 		r.cache.sorted = nil
 		r.cache.hybrid = nil

@@ -10,7 +10,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -150,24 +152,59 @@ func (t *TestTrace) Corrected(agent AgentID, local time.Time) time.Time {
 
 // WritesByAgent returns each agent's writes in issue order.
 func (t *TestTrace) WritesByAgent() map[AgentID][]Write {
-	out := make(map[AgentID][]Write, t.Agents)
-	for _, w := range t.Writes {
-		out[w.Agent] = append(out[w.Agent], w)
-	}
-	for _, ws := range out {
-		sortWrites(ws)
-	}
-	return out
+	return groupByAgent(t.Writes, func(w *Write) AgentID { return w.Agent }, compareWrites)
 }
 
 // ReadsByAgent returns each agent's reads in invocation order.
 func (t *TestTrace) ReadsByAgent() map[AgentID][]Read {
-	out := make(map[AgentID][]Read, t.Agents)
-	for _, r := range t.Reads {
-		out[r.Agent] = append(out[r.Agent], r)
+	return groupByAgent(t.Reads, func(r *Read) AgentID { return r.Agent }, compareReads)
+}
+
+// agentSpan is one agent's share of a grouping: its operation count,
+// then its slice of the shared backing array.
+type agentSpan[T any] struct {
+	agent AgentID
+	n     int
+	ops   []T
+}
+
+// groupByAgent splits ops by agent, each agent's slice stable-sorted
+// under compare. The slices are carved from one exact-size backing array
+// with their capacity capped at their length, so appending to one agent's
+// slice reallocates instead of overwriting the next agent's operations.
+// Agents are few, so they are looked up by a linear scan of a stack
+// array rather than a map.
+func groupByAgent[T any](ops []T, agentOf func(*T) AgentID, compare func(a, b T) int) map[AgentID][]T {
+	var stack [8]agentSpan[T]
+	spans := stack[:0]
+	find := func(ag AgentID) *agentSpan[T] {
+		for i := range spans {
+			if spans[i].agent == ag {
+				return &spans[i]
+			}
+		}
+		spans = append(spans, agentSpan[T]{agent: ag})
+		return &spans[len(spans)-1]
 	}
-	for _, rs := range out {
-		sortReads(rs)
+	for i := range ops {
+		find(agentOf(&ops[i])).n++
+	}
+	buf := make([]T, len(ops))
+	off := 0
+	for i := range spans {
+		spans[i].ops = buf[off : off : off+spans[i].n]
+		off += spans[i].n
+	}
+	for i := range ops {
+		sp := find(agentOf(&ops[i]))
+		sp.ops = append(sp.ops, ops[i])
+	}
+	out := make(map[AgentID][]T, len(spans))
+	for _, sp := range spans {
+		if !slices.IsSortedFunc(sp.ops, compare) {
+			slices.SortStableFunc(sp.ops, compare)
+		}
+		out[sp.agent] = sp.ops
 	}
 	return out
 }
@@ -223,20 +260,16 @@ func (t *TestTrace) Validate() error {
 	return nil
 }
 
-func sortWrites(ws []Write) {
-	sort.SliceStable(ws, func(i, j int) bool { return lessWrite(ws[i], ws[j]) })
-}
-
-func lessWrite(a, b Write) bool {
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
+// compareWrites orders writes by issue sequence, then invocation time.
+func compareWrites(a, b Write) int {
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
 	}
-	return a.Invoked.Before(b.Invoked)
+	return a.Invoked.Compare(b.Invoked)
 }
 
-func sortReads(rs []Read) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Invoked.Before(rs[j].Invoked) })
-}
+// compareReads orders reads by invocation time.
+func compareReads(a, b Read) int { return a.Invoked.Compare(b.Invoked) }
 
 // GroupByService buckets traces by their service name, preserving input
 // order within each bucket.

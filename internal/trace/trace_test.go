@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -236,5 +240,82 @@ func TestGroupByServiceAndNames(t *testing.T) {
 	names := ServiceNames([]*TestTrace{a, b, c})
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "googleplus" {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// TestByAgentSlicesAreIsolated checks that the per-agent slices, which
+// share one backing array, do not overlap: appending to one agent's
+// slice must leave every other agent's slice unchanged.
+func TestByAgentSlicesAreIsolated(t *testing.T) {
+	tr := sampleTrace()
+	for ag := AgentID(1); ag <= 3; ag++ {
+		for i := 0; i < 3; i++ {
+			tr.Reads = append(tr.Reads, Read{Agent: ag, Invoked: at(10 * i), Returned: at(10*i + 5)})
+			tr.Writes = append(tr.Writes, Write{ID: WriteID(fmt.Sprintf("w%d-%d", ag, i)), Agent: ag, Seq: i + 1})
+		}
+	}
+	wantReads, wantWrites := tr.ReadsByAgent(), tr.WritesByAgent()
+	for ag := range wantReads {
+		reads, writes := tr.ReadsByAgent(), tr.WritesByAgent()
+		reads[ag] = append(reads[ag], Read{Agent: 99})
+		writes[ag] = append(writes[ag], Write{ID: "intruder", Agent: 99})
+		for other := range wantReads {
+			if other == ag {
+				continue
+			}
+			if !reflect.DeepEqual(reads[other], wantReads[other]) {
+				t.Fatalf("append to agent %d's reads changed agent %d's: %+v", ag, other, reads[other])
+			}
+			if !reflect.DeepEqual(writes[other], wantWrites[other]) {
+				t.Fatalf("append to agent %d's writes changed agent %d's: %+v", ag, other, writes[other])
+			}
+		}
+	}
+}
+
+// TestByAgentMatchesStableSort checks the grouping against a plain
+// reference: bucket in trace order, then stable-sort each bucket. The
+// traces are out of order and full of ties, and some have more agents
+// than the grouping keeps on its stack.
+func TestByAgentMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 200; iter++ {
+		agents := 1 + rng.Intn(12)
+		tr := &TestTrace{Agents: agents}
+		for i := rng.Intn(40); i > 0; i-- {
+			ag := AgentID(1 + rng.Intn(agents))
+			tr.Reads = append(tr.Reads, Read{
+				Agent: ag, Invoked: at(rng.Intn(5)),
+				Observed: []WriteID{WriteID(fmt.Sprint(i))}, // tells tied reads apart
+			})
+			tr.Writes = append(tr.Writes, Write{
+				ID: WriteID(fmt.Sprint(i)), Agent: ag, Seq: rng.Intn(3), Invoked: at(rng.Intn(3)),
+			})
+		}
+		wantReads := map[AgentID][]Read{}
+		for _, r := range tr.Reads {
+			wantReads[r.Agent] = append(wantReads[r.Agent], r)
+		}
+		for _, rs := range wantReads {
+			sort.SliceStable(rs, func(i, j int) bool { return rs[i].Invoked.Before(rs[j].Invoked) })
+		}
+		wantWrites := map[AgentID][]Write{}
+		for _, w := range tr.Writes {
+			wantWrites[w.Agent] = append(wantWrites[w.Agent], w)
+		}
+		for _, ws := range wantWrites {
+			sort.SliceStable(ws, func(i, j int) bool {
+				if ws[i].Seq != ws[j].Seq {
+					return ws[i].Seq < ws[j].Seq
+				}
+				return ws[i].Invoked.Before(ws[j].Invoked)
+			})
+		}
+		if got := tr.ReadsByAgent(); !reflect.DeepEqual(got, wantReads) {
+			t.Fatalf("iter %d: ReadsByAgent = %+v\nwant %+v", iter, got, wantReads)
+		}
+		if got := tr.WritesByAgent(); !reflect.DeepEqual(got, wantWrites) {
+			t.Fatalf("iter %d: WritesByAgent = %+v\nwant %+v", iter, got, wantWrites)
+		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // Sim is a discrete-event scheduler implementing Clock with virtual time.
 //
 // Logical processes are started with Go (or via a Group). Each runs on its
-// own goroutine. Whenever every live actor is parked — sleeping, joined on
+// own goroutine, a pooled worker that earlier actors may have used (see
+// spawnLocked). Whenever every live actor is parked — sleeping, joined on
 // a Group, or waiting at a Gate — the scheduler advances the virtual clock
 // to the earliest pending event and wakes its owner. A Sim therefore
 // executes arbitrarily long simulated timelines in wall-clock time
@@ -29,6 +30,8 @@ type Sim struct {
 	queue    eventQueue
 	runnable int // actors currently executing
 	alive    int // actors started and not yet finished
+
+	idle []*worker // parked workers, reused LIFO; see spawnLocked
 }
 
 var _ Runtime = (*Sim)(nil)
@@ -126,11 +129,8 @@ func (s *Sim) Go(f func()) {
 	s.mu.Lock()
 	s.alive++
 	s.runnable++
+	s.spawnLocked(actor{f: f})
 	s.mu.Unlock()
-	go func() {
-		f()
-		s.finishActor()
-	}()
 }
 
 // NewGroup returns a scheduler-aware Group.
@@ -188,10 +188,7 @@ func (s *Sim) advanceLocked() {
 		// Timer callback: runs as a transient actor.
 		s.alive++
 		s.runnable++
-		go func(f func()) {
-			f()
-			s.finishActor()
-		}(ev.fn)
+		s.spawnLocked(actor{f: ev.fn})
 		return
 	}
 	if s.alive > 0 {
@@ -201,19 +198,44 @@ func (s *Sim) advanceLocked() {
 	}
 }
 
-// finishActor records the termination of an actor.
-func (s *Sim) finishActor() {
+// finish records the termination of the actor w ran, and of its
+// membership in g when g is non-nil. Both happen under one lock
+// acquisition so group waiters wake before time advances past their
+// wake-up. It reports whether w parked on the free list; a worker that
+// did not must exit. When the last actor finishes, every parked worker
+// is released, so no worker outlives its Sim's activity.
+func (s *Sim) finish(w *worker, g *simGroup) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if g != nil {
+		g.count--
+		if g.count == 0 {
+			for _, ch := range g.waiters {
+				s.runnable++
+				close(ch)
+			}
+			g.waiters = nil
+		}
+	}
 	s.runnable--
 	s.alive--
 	if s.alive == 0 {
+		for i, idle := range s.idle {
+			close(idle.work)
+			s.idle[i] = nil
+		}
+		s.idle = s.idle[:0]
 		s.waitCond.Broadcast()
-		return
+		return false
+	}
+	parked := len(s.idle) < maxIdleWorkers
+	if parked {
+		s.idle = append(s.idle, w)
 	}
 	if s.runnable == 0 {
 		s.advanceLocked()
 	}
+	return parked
 }
 
 type simTimer struct {
@@ -244,11 +266,8 @@ func (g *simGroup) Go(f func()) {
 	g.count++
 	s.alive++
 	s.runnable++
+	s.spawnLocked(actor{g: g, f: f})
 	s.mu.Unlock()
-	go func() {
-		f()
-		g.finishMember()
-	}()
 }
 
 func (g *simGroup) Join() {
@@ -263,31 +282,6 @@ func (g *simGroup) Join() {
 	s.parkLocked()
 	s.mu.Unlock()
 	<-ch
-}
-
-// finishMember is finishActor plus group bookkeeping, done under one lock
-// acquisition so waiters wake before time advances past their wake-up.
-func (g *simGroup) finishMember() {
-	s := g.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g.count--
-	if g.count == 0 {
-		for _, ch := range g.waiters {
-			s.runnable++
-			close(ch)
-		}
-		g.waiters = nil
-	}
-	s.runnable--
-	s.alive--
-	if s.alive == 0 {
-		s.waitCond.Broadcast()
-		return
-	}
-	if s.runnable == 0 {
-		s.advanceLocked()
-	}
 }
 
 // event is a pending wake-up (wake != nil) or timer callback (fn != nil).

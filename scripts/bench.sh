@@ -1,7 +1,8 @@
 #!/bin/sh
-# Run the parallel-campaign benchmark and record its ops/sec in a
-# BENCH_<host>.json snapshot at the repository root, one JSON object
-# per `make verify` (or direct) invocation. Each benchmark runs
+# Run the parallel-campaign benchmark and record its ops/sec and
+# allocations per campaign in a BENCH_<host>.json snapshot at the
+# repository root, one JSON object per `make verify` (or direct)
+# invocation. Each benchmark runs
 # -count=3 and the snapshot records the min and median per worker
 # count, so a single noisy run cannot masquerade as a regression.
 # Pass extra iterations via BENCHTIME (default 1x, i.e. one 1k-test
@@ -36,6 +37,11 @@ echo "$storeraw"
 checkraw=$(go test -run '^$' -bench 'BenchmarkCheckTest$|BenchmarkDivergenceWindows$|BenchmarkAggregatorAddTest2$' -benchmem .)
 echo "$checkraw"
 
+# The scheduler's actor start-up cost: one group of three actors that
+# use a few KB of stack, started and joined, as ns/op and allocs/op.
+spawnraw=$(go test -run '^$' -bench 'BenchmarkSimSpawn$' -benchtime 20000x ./internal/vtime)
+echo "$spawnraw"
+
 # A short closed-loop conload run against the in-process fbgroup profile
 # records end-to-end service latency percentiles next to the
 # microbenchmarks.
@@ -55,6 +61,9 @@ go run ./cmd/conload -inproc -service fbgroup -users 8 \
 	i = count[p]++
 	ns[p, i] = $3
 	tps[p, i] = $5
+	# -benchmem columns (ReportAllocs): B/op and allocs/op per campaign
+	if ($8 == "B/op") bytes[p, i] = $7
+	if ($10 == "allocs/op") allocs[p, i] = $9
 }
 function med(arr, p, n,    a, b, c) {
 	# median of up to three repetitions (n==1 and n==2 degrade sanely)
@@ -80,8 +89,8 @@ END {
 	for (j = 0; j < np; j++) {
 		p = order[j]
 		n = count[p]
-		printf "    {\"parallelism\": %d, \"ns_per_op_min\": %d, \"ns_per_op_median\": %d, \"tests_per_sec_min\": %d, \"tests_per_sec_median\": %d}%s\n", \
-			p, mini(ns, p, n), med(ns, p, n), mini(tps, p, n), med(tps, p, n), (j < np - 1) ? "," : ""
+		printf "    {\"parallelism\": %d, \"ns_per_op_min\": %d, \"ns_per_op_median\": %d, \"tests_per_sec_min\": %d, \"tests_per_sec_median\": %d, \"allocs_per_op\": %d, \"bytes_per_op\": %d}%s\n", \
+			p, mini(ns, p, n), med(ns, p, n), mini(tps, p, n), med(tps, p, n), med(allocs, p, n), med(bytes, p, n), (j < np - 1) ? "," : ""
 	}
 	printf "  ],\n"
 	printf "  \"cores\": %d,\n", cores
@@ -129,6 +138,15 @@ function entry(name) {
 END {
 	printf "  \"checker\": {\"check_test\": %s, \"divergence_windows\": %s, \"aggregator_add_test2\": %s},\n", \
 		entry("BenchmarkCheckTest"), entry("BenchmarkDivergenceWindows"), entry("BenchmarkAggregatorAddTest2")
+}'
+	echo "$spawnraw" | awk '
+/^BenchmarkSimSpawn(-[0-9]+)?[ \t]/ {
+	printf "  \"sim_spawn\": {\"ns_per_op\": %d, \"allocs_per_op\": %d},\n", $3, $7
+	found = 1
+	exit
+}
+END {
+	if (!found) printf "  \"sim_spawn\": null,\n"
 }'
 	printf '  "conload": '
 	cat "$loadtmp"
