@@ -512,6 +512,24 @@ func BenchmarkSimScheduler(b *testing.B) {
 	sim.Wait()
 }
 
+// BenchmarkSimHandoff measures one scheduler handoff per op: two actors
+// sleep in lockstep, so each Sleep finds the other actor ready or its
+// wake-up due at the same instant and must park rather than take the
+// fast path.
+func BenchmarkSimHandoff(b *testing.B) {
+	sim := vtime.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	b.ReportAllocs()
+	per := b.N/2 + 1
+	for a := 0; a < 2; a++ {
+		sim.Go(func() {
+			for i := 0; i < per; i++ {
+				sim.Sleep(time.Millisecond)
+			}
+		})
+	}
+	sim.Wait()
+}
+
 // BenchmarkStoreWrite measures replicated-store write throughput with
 // propagation scheduling.
 func BenchmarkStoreWrite(b *testing.B) {

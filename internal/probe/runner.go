@@ -3,6 +3,7 @@ package probe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"conprobe/internal/clocksync"
@@ -393,8 +394,16 @@ func localStart(start time.Time, delta time.Duration) time.Time {
 	return start.Add(-delta)
 }
 
-// merge folds per-agent recorders into the trace.
+// merge folds per-agent recorders into the trace, growing its operation
+// slices once to their final size.
 func merge(tr *trace.TestTrace, recs []*recorder) {
+	var nw, nr int
+	for _, rec := range recs {
+		nw += len(rec.writes)
+		nr += len(rec.reads)
+	}
+	tr.Writes = slices.Grow(tr.Writes, nw)
+	tr.Reads = slices.Grow(tr.Reads, nr)
 	for _, rec := range recs {
 		tr.Writes = append(tr.Writes, rec.writes...)
 		tr.Reads = append(tr.Reads, rec.reads...)

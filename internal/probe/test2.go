@@ -26,7 +26,7 @@ func (r *Runner) RunTest2(ctx context.Context, testID int) (*trace.TestTrace, er
 	recs := make([]*recorder, len(r.cfg.Agents))
 	g := r.rt.NewGroup()
 	for i, ag := range r.cfg.Agents {
-		rec := &recorder{agent: ag.ID}
+		rec := &recorder{agent: ag.ID, reads: make([]trace.Read, 0, r.cfg.Test2.ReadsPerAgent)}
 		recs[i] = rec
 		ag := ag
 		client := r.clients[i]

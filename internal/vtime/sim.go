@@ -9,38 +9,39 @@ import (
 
 // Sim is a discrete-event scheduler implementing Clock with virtual time.
 //
-// Logical processes are started with Go (or via a Group). Each runs on its
-// own goroutine, a pooled worker that earlier actors may have used (see
-// spawnLocked). Whenever every live actor is parked — sleeping, joined on
-// a Group, or waiting at a Gate — the scheduler advances the virtual clock
-// to the earliest pending event and wakes its owner. A Sim therefore
-// executes arbitrarily long simulated timelines in wall-clock time
-// proportional only to the work performed.
+// Logical processes ("actors") are started with Go, via a Group, or by an
+// AfterFunc timer firing. Each runs as a coroutine, on a pooled worker
+// that earlier actors may have used (see worker.go), and every actor runs
+// inside Wait: the goroutine that calls Wait resumes one ready actor at a
+// time, in the order they became ready, until it sleeps, joins a Group or
+// returns. When no actor is ready, Wait advances the virtual clock to the
+// earliest pending event and readies its owner. A Sim therefore executes
+// arbitrarily long simulated timelines in wall-clock time proportional
+// only to the work performed, and no event costs a goroutine handoff.
 //
 // Actors must not block on ordinary channels or locks held across waits;
-// all inter-actor waiting must go through Sleep, AfterFunc, Group.Join or
-// Gate.Wait. Violating this stalls virtual time and is reported as a
-// deadlock.
+// all inter-actor waiting must go through Sleep, AfterFunc or Group.Join.
+// Blocking otherwise stalls the whole Sim.
 type Sim struct {
-	mu       sync.Mutex
-	waitCond *sync.Cond // signalled when alive reaches zero
+	mu sync.Mutex
 
-	now      time.Time
-	seq      uint64
-	queue    eventQueue
-	runnable int // actors currently executing
-	alive    int // actors started and not yet finished
+	now   time.Time
+	seq   uint64
+	queue eventQueue
+	alive int // actors started and not yet finished
 
-	idle []*worker // parked workers, reused LIFO; see spawnLocked
+	ready []*worker // actors to resume, FIFO from ready[head]
+	head  int
+	cur   *worker // the actor Wait resumed last
+
+	idle []*worker // parked workers, reused LIFO; see startLocked
 }
 
 var _ Runtime = (*Sim)(nil)
 
 // NewSim returns a Sim whose virtual clock starts at start.
 func NewSim(start time.Time) *Sim {
-	s := &Sim{now: start}
-	s.waitCond = sync.NewCond(&s.mu)
-	return s
+	return &Sim{now: start}
 }
 
 // Runtime is the execution environment shared by simulated and live runs:
@@ -78,77 +79,107 @@ func (s *Sim) Since(t time.Time) time.Duration {
 	return s.Now().Sub(t)
 }
 
-// sleepEventPool recycles the event (and its embedded wake channel) a
-// Sleep call parks on. Sleep events cannot be cancelled and their only
-// reference after firing is the sleeping goroutine itself, so it alone
-// returns them to the pool.
-var sleepEventPool = sync.Pool{
-	New: func() any { return &event{wake: make(chan struct{}, 1)} },
-}
-
-// Sleep parks the calling actor for d of virtual time.
+// Sleep parks the calling actor for d of virtual time. It panics when
+// called outside an actor.
 func (s *Sim) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	s.mu.Lock()
+	w := s.actorLocked("Sleep")
 	at := s.now.Add(d)
-	// Fast path: the caller is the only runnable actor and no pending
-	// event is due before its wake-up, so advancing the clock here is
-	// exactly what parking and re-waking would do — minus the event
-	// allocation, the heap traffic, and two goroutine context switches.
-	// A strict Before keeps same-instant events firing in FIFO order.
-	if s.runnable == 1 && (s.queue.Len() == 0 || at.Before(s.queue[0].at)) {
+	// Fast path: no other actor is ready and no pending event is due
+	// before the wake-up, so advancing the clock here is exactly what
+	// parking and re-waking would do, minus the heap traffic and two
+	// coroutine switches. A strict Before keeps same-instant events
+	// firing in FIFO order.
+	if s.head == len(s.ready) && (s.queue.Len() == 0 || at.Before(s.queue[0].at)) {
 		s.now = at
 		s.mu.Unlock()
 		return
 	}
-	ev := sleepEventPool.Get().(*event)
-	ev.at = at
-	ev.cancelled = false
-	ev.fired = false
-	s.push(ev)
-	s.parkLocked()
+	// An actor has at most one Sleep pending, so its worker's own event
+	// serves every one.
+	w.sleep.at = at
+	s.push(&w.sleep)
 	s.mu.Unlock()
-	<-ev.wake
-	sleepEventPool.Put(ev)
+	w.yield(false)
 }
 
 // AfterFunc schedules f to run as a new actor after d of virtual time.
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ev := &event{at: s.now.Add(d), fn: f}
+	ev := &event{s: s, at: s.now.Add(d), fn: f}
 	s.push(ev)
-	return &simTimer{s: s, ev: ev}
+	return ev
 }
 
-// Go starts f as a new actor. It may be called before Run as well as from
-// inside running actors.
+// Go starts f as a new actor. Called before Wait or from inside an actor,
+// it queues f, and f runs inside Wait.
 func (s *Sim) Go(f func()) {
 	s.mu.Lock()
-	s.alive++
-	s.runnable++
-	s.spawnLocked(actor{f: f})
+	s.startLocked(f, nil)
 	s.mu.Unlock()
 }
 
 // NewGroup returns a scheduler-aware Group.
 func (s *Sim) NewGroup() Group { return &simGroup{s: s} }
 
-// Wait blocks the caller (which must not be an actor) until every actor
-// has finished.
+// Wait runs the actors, resuming one at a time from the calling
+// goroutine, which must not be an actor, until all have finished. A panic in an actor body surfaces from
+// Wait, after which the Sim must not be used again.
 func (s *Sim) Wait() {
+	var done bool
+	for w := s.next(nil, false); w != nil; w = s.next(w, done) {
+		done, _ = w.resume()
+	}
+}
+
+// next records how w's last run ended, finished when done, and returns
+// the next actor to resume, advancing virtual time while none is ready.
+// Once every actor has finished it releases the parked workers and
+// returns nil.
+func (s *Sim) next(w *worker, done bool) *worker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.alive > 0 {
-		s.waitCond.Wait()
+	if done {
+		s.finishLocked(w)
 	}
+	for s.head == len(s.ready) {
+		if s.alive == 0 {
+			for i, idle := range s.idle {
+				idle.stop()
+				s.idle[i] = nil
+			}
+			s.idle = s.idle[:0]
+			s.cur = nil
+			return nil
+		}
+		s.advanceLocked()
+	}
+	w = s.ready[s.head]
+	s.ready[s.head] = nil
+	if s.head++; s.head == len(s.ready) {
+		s.ready, s.head = s.ready[:0], 0
+	}
+	s.cur = w
+	return w
 }
 
 // Elapsed returns the virtual time elapsed since t0.
 func (s *Sim) Elapsed(t0 time.Time) time.Duration {
 	return s.Now().Sub(t0)
+}
+
+// actorLocked returns the running actor's worker, or releases mu and
+// panics naming op when the caller is not an actor. Caller holds mu.
+func (s *Sim) actorLocked(op string) *worker {
+	if s.cur == nil {
+		s.mu.Unlock()
+		panic("vtime: " + op + " called outside an actor; start the caller with Go and run it with Wait")
+	}
+	return s.cur
 }
 
 // push adds ev to the queue, stamping its FIFO sequence number.
@@ -159,17 +190,9 @@ func (s *Sim) push(ev *event) {
 	heap.Push(&s.queue, ev)
 }
 
-// parkLocked marks the calling actor as no longer runnable, advancing
-// virtual time if it was the last one. Caller holds mu.
-func (s *Sim) parkLocked() {
-	s.runnable--
-	if s.runnable == 0 {
-		s.advanceLocked()
-	}
-}
-
-// advanceLocked jumps virtual time to the earliest pending event and wakes
-// or starts its owner. Caller holds mu, runnable is zero.
+// advanceLocked jumps virtual time to the earliest pending event and
+// readies its owner: the actor sleeping on it, or a new actor running
+// its timer callback. Caller holds mu, and no actor is ready.
 func (s *Sim) advanceLocked() {
 	for s.queue.Len() > 0 {
 		ev, ok := heap.Pop(&s.queue).(*event)
@@ -178,17 +201,11 @@ func (s *Sim) advanceLocked() {
 		}
 		ev.fired = true
 		s.now = ev.at
-		if ev.wake != nil {
-			s.runnable++
-			// Sleep events carry a reusable buffered channel; a send (not a
-			// close) wakes the sleeper so the event can go back to its pool.
-			ev.wake <- struct{}{}
-			return
+		if ev.w != nil {
+			s.ready = append(s.ready, ev.w)
+		} else {
+			s.startLocked(ev.fn, nil)
 		}
-		// Timer callback: runs as a transient actor.
-		s.alive++
-		s.runnable++
-		s.spawnLocked(actor{f: ev.fn})
 		return
 	}
 	if s.alive > 0 {
@@ -198,101 +215,78 @@ func (s *Sim) advanceLocked() {
 	}
 }
 
-// finish records the termination of the actor w ran, and of its
-// membership in g when g is non-nil. Both happen under one lock
-// acquisition so group waiters wake before time advances past their
-// wake-up. It reports whether w parked on the free list; a worker that
-// did not must exit. When the last actor finishes, every parked worker
-// is released, so no worker outlives its Sim's activity.
-func (s *Sim) finish(w *worker, g *simGroup) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g != nil {
+// finishLocked records the end of w's body, and of its membership in
+// its group: when it was the group's last member, the group's joiners
+// become ready. w then parks for reuse, or stops when the Sim already
+// keeps maxIdleWorkers. Caller holds mu.
+func (s *Sim) finishLocked(w *worker) {
+	if g := w.g; g != nil {
 		g.count--
 		if g.count == 0 {
-			for _, ch := range g.waiters {
-				s.runnable++
-				close(ch)
-			}
+			s.ready = append(s.ready, g.waiters...)
 			g.waiters = nil
 		}
 	}
-	s.runnable--
+	w.f, w.g = nil, nil
 	s.alive--
-	if s.alive == 0 {
-		for i, idle := range s.idle {
-			close(idle.work)
-			s.idle[i] = nil
-		}
-		s.idle = s.idle[:0]
-		s.waitCond.Broadcast()
-		return false
-	}
-	parked := len(s.idle) < maxIdleWorkers
-	if parked {
+	if len(s.idle) < maxIdleWorkers {
 		s.idle = append(s.idle, w)
+	} else {
+		w.stop()
 	}
-	if s.runnable == 0 {
-		s.advanceLocked()
-	}
-	return parked
-}
-
-type simTimer struct {
-	s  *Sim
-	ev *event
-}
-
-func (t *simTimer) Stop() bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.ev.fired || t.ev.cancelled {
-		return false
-	}
-	t.ev.cancelled = true
-	return true
 }
 
 // simGroup is the scheduler-aware Group implementation.
 type simGroup struct {
 	s       *Sim
-	count   int // live members; guarded by s.mu
-	waiters []chan struct{}
+	count   int       // live members; guarded by s.mu
+	waiters []*worker // actors joined on the group; guarded by s.mu
 }
 
 func (g *simGroup) Go(f func()) {
 	s := g.s
 	s.mu.Lock()
 	g.count++
-	s.alive++
-	s.runnable++
-	s.spawnLocked(actor{g: g, f: f})
+	s.startLocked(f, g)
 	s.mu.Unlock()
 }
 
+// Join parks the calling actor until every member has finished. It
+// panics when called outside an actor.
 func (g *simGroup) Join() {
 	s := g.s
 	s.mu.Lock()
+	w := s.actorLocked("Join")
 	if g.count == 0 {
 		s.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	g.waiters = append(g.waiters, ch)
-	s.parkLocked()
+	g.waiters = append(g.waiters, w)
 	s.mu.Unlock()
-	<-ch
+	w.yield(false)
 }
 
-// event is a pending wake-up (wake != nil) or timer callback (fn != nil).
+// event is a pending wake-up of w (w != nil) or a timer callback
+// (fn != nil). A timer's event is its Timer.
 type event struct {
+	s         *Sim
 	at        time.Time
 	seq       uint64
-	wake      chan struct{}
+	w         *worker
 	fn        func()
 	cancelled bool
 	fired     bool
-	index     int
+}
+
+// Stop cancels a pending timer callback.
+func (ev *event) Stop() bool {
+	ev.s.mu.Lock()
+	defer ev.s.mu.Unlock()
+	if ev.fired || ev.cancelled {
+		return false
+	}
+	ev.cancelled = true
+	return true
 }
 
 // eventQueue is a min-heap ordered by (at, seq).
@@ -307,18 +301,13 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
 func (q *eventQueue) Push(x any) {
 	ev, ok := x.(*event)
 	if !ok {
 		return
 	}
-	ev.index = len(*q)
 	*q = append(*q, ev)
 }
 

@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,6 +89,96 @@ func TestSimSameDeadlineFIFO(t *testing.T) {
 	}
 	if !sort.IntsAreSorted(order) {
 		t.Fatalf("same-deadline timers fired out of FIFO order: %v", order)
+	}
+}
+
+// TestSimReadyActorsRunInStartOrder: group members made ready at one
+// instant run in the order they were started, both when they start and
+// when they wake together, on every run.
+func TestSimReadyActorsRunInStartOrder(t *testing.T) {
+	const members = 8
+	var want []int
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < members; i++ {
+			want = append(want, i)
+		}
+	}
+	for run := 0; run < 50; run++ {
+		s := NewSim(simEpoch)
+		var (
+			mu  sync.Mutex
+			log []int
+		)
+		record := func(id int) {
+			mu.Lock()
+			log = append(log, id)
+			mu.Unlock()
+		}
+		s.Go(func() {
+			g := s.NewGroup()
+			for i := 0; i < members; i++ {
+				g.Go(func() {
+					record(i)
+					s.Sleep(time.Millisecond)
+					record(i)
+				})
+			}
+			g.Join()
+		})
+		s.Wait()
+		if !slices.Equal(log, want) {
+			t.Fatalf("run %d: members ran in order %v, want %v", run, log, want)
+		}
+	}
+}
+
+// TestSimActorPanicSurfacesFromWait: a panic in an actor body reaches
+// the caller of Wait, which can recover it.
+func TestSimActorPanicSurfacesFromWait(t *testing.T) {
+	s := NewSim(simEpoch)
+	s.Go(func() {
+		s.Sleep(time.Second)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the actor's panic", r)
+		}
+		if got, want := s.Now(), simEpoch.Add(time.Second); !got.Equal(want) {
+			t.Fatalf("clock after the panic = %v, want %v", got, want)
+		}
+	}()
+	s.Wait()
+	t.Fatal("Wait returned although an actor panicked")
+}
+
+// TestSimWaitingOutsideActorPanics: Sleep and Join block an actor, so
+// calling them from anything else is a mistake that must say so.
+func TestSimWaitingOutsideActorPanics(t *testing.T) {
+	s := NewSim(simEpoch)
+	g := s.NewGroup()
+	ran := false
+	g.Go(func() { ran = true })
+	for _, tc := range []struct {
+		op string
+		f  func()
+	}{
+		{"Sleep", func() { s.Sleep(time.Second) }},
+		{"Join", g.Join},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.op+" called outside an actor") {
+					t.Errorf("%s outside an actor panicked with %q", tc.op, msg)
+				}
+			}()
+			tc.f()
+		}()
+	}
+	s.Wait()
+	if !ran || !s.Now().Equal(simEpoch) {
+		t.Fatalf("after the misuse: member ran %v, clock %v; want true, %v", ran, s.Now(), simEpoch)
 	}
 }
 

@@ -9,12 +9,13 @@
 //     measurement campaigns and the benchmark harness so that a month-long
 //     experiment executes in seconds of wall-clock time.
 //
-// The Sim scheduler runs each logical process ("actor") on its own
-// goroutine. Virtual time only advances when every actor is parked in
-// Sleep (or in a Gate); the scheduler then jumps to the earliest pending
-// wake-up. Cross-actor blocking must therefore go through the primitives
-// offered here (Sleep, AfterFunc timers, Gate); blocking on an ordinary
-// channel from inside an actor would stall virtual time.
+// The Sim scheduler runs each logical process ("actor") as a coroutine
+// inside Sim.Wait, one ready actor at a time. Virtual time only advances
+// when every live actor is parked in Sleep or Group.Join; the scheduler
+// then jumps to the earliest pending wake-up. Cross-actor blocking must
+// therefore go through the primitives offered here (Sleep, AfterFunc
+// timers, Group.Join); blocking on an ordinary channel from inside an
+// actor would stall virtual time.
 package vtime
 
 import "time"

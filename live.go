@@ -49,7 +49,9 @@ var (
 	DefaultTopology = simnet.DefaultTopology
 	// AgentSites lists the agent locations in the paper's order.
 	AgentSites = simnet.AgentSites
-	// NewSim builds a virtual-time scheduler.
+	// NewSim builds a virtual-time scheduler. Actors started with its
+	// Go or a Group run inside its Wait, which returns once all have
+	// finished.
 	NewSim = vtime.NewSim
 	// NewSkewedClock offsets a base clock by a fixed skew.
 	NewSkewedClock = clocksync.NewSkewedClock

@@ -42,6 +42,12 @@ echo "$checkraw"
 spawnraw=$(go test -run '^$' -bench 'BenchmarkSimSpawn$' -benchtime 20000x ./internal/vtime)
 echo "$spawnraw"
 
+# The scheduler's handoff cost: one Sleep that must park because the
+# other actor is ready or due at the same instant, as ns/op and
+# allocs/op.
+handoffraw=$(go test -run '^$' -bench 'BenchmarkSimHandoff$' -benchtime 200000x .)
+echo "$handoffraw"
+
 # A short closed-loop conload run against the in-process fbgroup profile
 # records end-to-end service latency percentiles next to the
 # microbenchmarks.
@@ -147,6 +153,15 @@ END {
 }
 END {
 	if (!found) printf "  \"sim_spawn\": null,\n"
+}'
+	echo "$handoffraw" | awk '
+/^BenchmarkSimHandoff(-[0-9]+)?[ \t]/ {
+	printf "  \"sim_handoff\": {\"ns_per_op\": %d, \"allocs_per_op\": %d},\n", $3, $7
+	found = 1
+	exit
+}
+END {
+	if (!found) printf "  \"sim_handoff\": null,\n"
 }'
 	printf '  "conload": '
 	cat "$loadtmp"
