@@ -11,6 +11,7 @@ import (
 	"conprobe/internal/resilience"
 	"conprobe/internal/service"
 	"conprobe/internal/simnet"
+	"conprobe/internal/store"
 	"conprobe/internal/trace"
 	"conprobe/internal/vtime"
 )
@@ -48,7 +49,9 @@ type ClientWrapper func(ag Agent, svc service.Service) service.Service
 
 // Runner executes tests and campaigns against one service. Its Run*
 // methods block and must be called from within an actor of the supplied
-// runtime (or any goroutine when the runtime is vtime.RealRuntime).
+// runtime (or any goroutine when the runtime is vtime.RealRuntime). A
+// Runner runs one test at a time: its per-agent recorders are reused
+// from test to test.
 type Runner struct {
 	rt   vtime.Runtime
 	net  *simnet.Network
@@ -61,6 +64,8 @@ type Runner struct {
 	// statsBase holds, for clients exposing resilience stats, the
 	// snapshot taken at the start of the current test.
 	statsBase []resilience.Stats
+	// recs holds each agent's recorder, reused test after test.
+	recs []*recorder
 
 	// Engine telemetry (observed, never read back). The handles are
 	// registered once in NewRunner; a nil cfg.Metrics yields live
@@ -98,7 +103,9 @@ func NewRunner(rt vtime.Runtime, net *simnet.Network, svc service.Service, cfg C
 	r.mDiscarded = cfg.Metrics.Counter("traces_discarded_total", "Traces dropped from the Result under DiscardTraces (they still reached the sink).")
 	r.clients = make([]service.Service, len(cfg.Agents))
 	r.statsBase = make([]resilience.Stats, len(cfg.Agents))
+	r.recs = make([]*recorder, len(cfg.Agents))
 	for i, ag := range cfg.Agents {
+		r.recs[i] = &recorder{agent: ag.ID}
 		if r.wrap != nil {
 			r.clients[i] = r.wrap(ag, svc)
 		} else {
@@ -377,13 +384,45 @@ func (r *Runner) newTrace(testID int, kind trace.TestKind) (*trace.TestTrace, er
 }
 
 // recorder accumulates one agent's operations without locking; each agent
-// has its own recorder and they are merged after the group joins.
+// has its own recorder and they are merged after the group joins. A
+// Runner keeps one per agent and reuses it for every test it runs:
+// merge copies the operations into the trace, so the next test may
+// overwrite them.
 type recorder struct {
 	agent   trace.AgentID
 	writes  []trace.Write
 	reads   []trace.Read
 	failed  int
 	skipped int
+
+	// view and ids memoize the last observe: the store view a read
+	// returned and the IDs recorded for it. A view is immutable, so a
+	// later read returning the same one observed the same IDs and
+	// shares the recorded slice (trace reads never modify Observed).
+	view []store.Entry
+	ids  []trace.WriteID
+}
+
+// reset empties the recorder for a new test, keeping its buffers.
+func (rec *recorder) reset() {
+	clear(rec.writes)
+	clear(rec.reads)
+	rec.writes, rec.reads = rec.writes[:0], rec.reads[:0]
+	rec.failed, rec.skipped = 0, 0
+	rec.view, rec.ids = nil, nil
+}
+
+// observe returns the write IDs of a store view, in view order.
+func (rec *recorder) observe(view []store.Entry) []trace.WriteID {
+	if rec.ids != nil && len(view) == len(rec.view) && (len(view) == 0 || &view[0] == &rec.view[0]) {
+		return rec.ids
+	}
+	ids := make([]trace.WriteID, len(view))
+	for i := range view {
+		ids[i] = trace.WriteID(view[i].ID)
+	}
+	rec.view, rec.ids = view, ids
+	return ids
 }
 
 // localStart converts the coordinator-scheduled start time into the
@@ -425,8 +464,8 @@ func merge(tr *trace.TestTrace, recs []*recorder) {
 // finish merges the per-agent recorders and attributes resilience
 // counters (retries spent, breaker-open skips, breaker trips) to the
 // trace by diffing each client's stats against the test-start snapshot.
-func (r *Runner) finish(tr *trace.TestTrace, recs []*recorder) {
-	merge(tr, recs)
+func (r *Runner) finish(tr *trace.TestTrace) {
+	merge(tr, r.recs)
 	for i, c := range r.clients {
 		sp, ok := c.(resilienceStats)
 		if !ok {

@@ -8,6 +8,7 @@ import (
 
 	"conprobe/internal/resilience"
 	"conprobe/internal/service"
+	"conprobe/internal/store"
 	"conprobe/internal/trace"
 )
 
@@ -27,11 +28,10 @@ func (r *Runner) RunTest1(ctx context.Context, testID int) (*trace.TestTrace, er
 	n := len(r.cfg.Agents)
 	finalWrite := writeID(testID, 2*n)
 
-	recs := make([]*recorder, n)
 	g := r.rt.NewGroup()
 	for i, ag := range r.cfg.Agents {
-		rec := &recorder{agent: ag.ID}
-		recs[i] = rec
+		rec := r.recs[i]
+		rec.reset()
 		ag := ag
 		client := r.clients[i]
 		g.Go(func() {
@@ -39,7 +39,7 @@ func (r *Runner) RunTest1(ctx context.Context, testID int) (*trace.TestTrace, er
 		})
 	}
 	g.Join()
-	r.finish(tr, recs)
+	r.finish(tr)
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("test1 produced invalid trace: %w", err)
 	}
@@ -135,14 +135,34 @@ func (r *Runner) doWrite(ag Agent, client service.Service, rec *recorder, id tra
 	})
 }
 
-// doRead issues and records one read, returning the observed IDs.
+// doRead issues and records one read, returning the observed IDs. A
+// bare simulated service is read at the entry level (ReadView), so the
+// IDs go straight from the store's timeline into the trace; every other
+// client — wrappers, live transports — is read through Read.
 func (r *Runner) doRead(ag Agent, client service.Service, rec *recorder) []trace.WriteID {
 	if skipUnhealthy(client, rec) {
 		return nil
 	}
 	cl := ag.Clock
 	invoked := cl.Now()
-	posts, err := client.Read(ag.Site, ag.Label())
+	var (
+		obs []trace.WriteID
+		err error
+	)
+	if sim, ok := client.(*service.Simulated); ok {
+		var view []store.Entry
+		if view, err = sim.ReadView(ag.Site, ag.Label()); err == nil {
+			obs = rec.observe(view)
+		}
+	} else {
+		var posts []service.Post
+		if posts, err = client.Read(ag.Site, ag.Label()); err == nil {
+			obs = make([]trace.WriteID, len(posts))
+			for i, p := range posts {
+				obs[i] = trace.WriteID(p.ID)
+			}
+		}
+	}
 	returned := cl.Now()
 	if err != nil {
 		// Failed reads are dropped, as in the paper's data collection,
@@ -151,10 +171,6 @@ func (r *Runner) doRead(ag Agent, client service.Service, rec *recorder) []trace
 			rec.failed++
 		}
 		return nil
-	}
-	obs := make([]trace.WriteID, len(posts))
-	for i, p := range posts {
-		obs[i] = trace.WriteID(p.ID)
 	}
 	rec.reads = append(rec.reads, trace.Read{
 		Agent:    ag.ID,

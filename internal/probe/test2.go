@@ -3,6 +3,7 @@ package probe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"conprobe/internal/service"
@@ -23,11 +24,11 @@ func (r *Runner) RunTest2(ctx context.Context, testID int) (*trace.TestTrace, er
 	}
 	start := r.rt.Now().Add(r.cfg.StartDelay)
 
-	recs := make([]*recorder, len(r.cfg.Agents))
 	g := r.rt.NewGroup()
 	for i, ag := range r.cfg.Agents {
-		rec := &recorder{agent: ag.ID, reads: make([]trace.Read, 0, r.cfg.Test2.ReadsPerAgent)}
-		recs[i] = rec
+		rec := r.recs[i]
+		rec.reset()
+		rec.reads = slices.Grow(rec.reads, r.cfg.Test2.ReadsPerAgent)
 		ag := ag
 		client := r.clients[i]
 		g.Go(func() {
@@ -35,7 +36,7 @@ func (r *Runner) RunTest2(ctx context.Context, testID int) (*trace.TestTrace, er
 		})
 	}
 	g.Join()
-	r.finish(tr, recs)
+	r.finish(tr)
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("test2 produced invalid trace: %w", err)
 	}

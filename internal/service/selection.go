@@ -34,7 +34,10 @@ type Selection struct {
 
 // apply ranks entries for one read. seed namespaces the service instance;
 // reader and nonce make each (reader, read) ranking distinct but
-// deterministic for a fixed campaign seed.
+// deterministic for a fixed campaign seed. entries may be a shared store
+// view: apply never modifies it, and copies it only when the ranking
+// drops or reorders an entry. Otherwise it returns entries itself, or a
+// prefix of it under TopK.
 func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64, reader string, nonce uint64) []store.Entry {
 	if sel == nil {
 		return entries
@@ -42,14 +45,25 @@ func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64
 	rng := rand.New(rand.NewSource(selectionSeed(seed, reader, nonce)))
 	cutoff := clock.Now().Add(-sel.FreshFor)
 
-	out := make([]store.Entry, 0, len(entries))
+	// out aliases entries until the first drop; owned records when it
+	// stopped aliasing.
+	out := entries[:0:0]
+	owned := false
 	freshStart := -1
-	for _, e := range entries {
+	for i, e := range entries {
 		fresh := sel.FreshFor > 0 && !e.CreatedAt.Before(cutoff)
 		if fresh && sel.DropFresh > 0 && rng.Float64() < sel.DropFresh {
+			if !owned {
+				out = append(make([]store.Entry, 0, len(entries)), entries[:i]...)
+				owned = true
+			}
 			continue
 		}
-		out = append(out, e)
+		if owned {
+			out = append(out, e)
+		} else {
+			out = entries[: i+1 : i+1]
+		}
 		if fresh && freshStart < 0 {
 			freshStart = len(out) - 1
 		}
@@ -57,12 +71,16 @@ func (sel *Selection) apply(entries []store.Entry, clock vtime.Clock, seed int64
 	if freshStart >= 0 && sel.Shuffle > 0 {
 		for i := freshStart + 1; i < len(out); i++ {
 			if rng.Float64() < sel.Shuffle {
+				if !owned {
+					out = append(make([]store.Entry, 0, len(out)), out...)
+					owned = true
+				}
 				out[i-1], out[i] = out[i], out[i-1]
 			}
 		}
 	}
 	if sel.TopK > 0 && len(out) > sel.TopK {
-		out = out[:sel.TopK]
+		out = out[:sel.TopK:sel.TopK]
 	}
 	return out
 }

@@ -191,6 +191,28 @@ func (s *Simulated) processDelay(k detrand.Key) time.Duration {
 
 // Read lists the posts reader currently observes from the given location.
 func (s *Simulated) Read(from simnet.Site, reader string) ([]Post, error) {
+	entries, err := s.ReadView(from, reader)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Post, len(entries))
+	for i, e := range entries {
+		out[i] = Post{
+			ID: e.ID, Author: e.Author, Body: e.Body,
+			CreatedAt: e.CreatedAt, DependsOn: e.DependsOn,
+		}
+	}
+	return out, nil
+}
+
+// ReadView is Read at the store's entry level and without its copy: the
+// same read (same delays, same draws), returning the entries reader
+// observes. The slice may be shared with the store and with other
+// readers (store.Cluster.View), so callers must treat it as read-only.
+// Two reads that return the same slice — same first element, same
+// length — observed the same entries. The probe engine uses it to record
+// observations without building posts; everything else uses Read.
+func (s *Simulated) ReadView(from simnet.Site, reader string) ([]store.Entry, error) {
 	dc, err := s.route(from)
 	if err != nil {
 		return nil, err
@@ -205,7 +227,7 @@ func (s *Simulated) Read(from simnet.Site, reader string) ([]Post, error) {
 	if err := s.inbound(from, dc, k); err != nil {
 		return nil, err
 	}
-	entries, err := s.cluster.Read(dc)
+	entries, err := s.cluster.View(dc)
 	if err != nil {
 		return nil, err
 	}
@@ -213,14 +235,7 @@ func (s *Simulated) Read(from simnet.Site, reader string) ([]Post, error) {
 	if err := s.travel(dc, from, k.Str("back")); err != nil {
 		return nil, err
 	}
-	out := make([]Post, len(entries))
-	for i, e := range entries {
-		out[i] = Post{
-			ID: e.ID, Author: e.Author, Body: e.Body,
-			CreatedAt: e.CreatedAt, DependsOn: e.DependsOn,
-		}
-	}
-	return out, nil
+	return entries, nil
 }
 
 // maybeFlap occasionally substitutes a different replica for the home

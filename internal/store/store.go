@@ -26,17 +26,18 @@
 // each shard keeps a min-heap of pending deliveries ordered by
 // (due time, schedule order), and one cluster-wide timer wheel drains
 // every due shard from a single timer event (wheel.go). Reads merge the
-// shards into an arrival-order timeline sorted by (apply time,
-// ArrivalSeq) — the same order the pre-shard store produced by appending
-// under one lock — and cache the rendered timeline until any shard's
-// generation counter moves. The reference these fast paths must match,
-// apply instants computed directly and every read fully sorted, lives in
-// reference_test.go.
+// shards' new entries into a cached timeline — policy-sorted for
+// OrderTimestamp, otherwise an arrival-order timeline sorted by (apply
+// time, ArrivalSeq), the same order the pre-shard store produced by
+// appending under one lock — and reuse it until any shard's generation
+// counter moves. Published timelines are immutable up to their length,
+// so View shares them without copying and Read copies them. The
+// reference these fast paths must match, apply instants computed
+// directly and every read fully sorted, lives in reference_test.go.
 package store
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -287,45 +288,35 @@ type appliedEntry struct {
 
 // pendingDelivery is one queued replication delivery.
 type pendingDelivery struct {
-	at  time.Time
-	seq uint64
 	src simnet.Site
 	e   Entry
 }
 
-// deliveryQueue is a min-heap of pending deliveries by (at, seq).
-type deliveryQueue []pendingDelivery
-
-func (q deliveryQueue) Len() int { return len(q) }
-func (q deliveryQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
-}
-func (q deliveryQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *deliveryQueue) Push(x interface{}) { *q = append(*q, x.(pendingDelivery)) }
-func (q *deliveryQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	d := old[n-1]
-	*q = old[:n-1]
-	return d
-}
+// deliveryQueue is a min-heap of pending deliveries by (due time,
+// schedule order).
+type deliveryQueue = dueHeap[pendingDelivery]
 
 // timelineCache memoizes the rendered read timelines of one replica,
 // keyed by a snapshot of the shard generation counters. Refreshes are
 // incremental: offsets records how much of each shard's log the cached
 // timelines already cover, so a refresh only merges the new tail
 // entries instead of re-sorting the whole replica. Published slices
-// (merged, sorted) are immutable — a refresh builds replacements — so
-// readers may extract copies outside the cache lock.
+// (merged, sorted, hybrid) are immutable up to their length — a refresh
+// appends past a published length or builds a replacement, and a Reset
+// drops them — so readers share them without copying (View) or copy
+// them outside the cache lock (Read).
 type timelineCache struct {
 	mu      sync.Mutex
 	gens    []uint64
 	offsets []int
-	merged  []appliedEntry // (applyTime, ArrivalSeq) order
-	sorted  []Entry        // merged re-sorted under the timestamp policy; built lazily
+	// merged is the (applyTime, ArrivalSeq) arrival order. Only
+	// OrderArrival and OrderHybrid read it, so an OrderTimestamp replica
+	// leaves it nil.
+	merged []appliedEntry
+	// sorted is the timeline under the timestamp policy. An
+	// OrderTimestamp replica keeps it current on every refresh; the
+	// other orders build it lazily from merged.
+	sorted []Entry
 	// hybrid memoizes the rendered OrderHybrid timeline for one
 	// normalize cutoff (hybridCutoff); consecutive reads at the same
 	// virtual instant — the common case under the discrete-event clock —
@@ -333,6 +324,10 @@ type timelineCache struct {
 	// changes.
 	hybridCutoff time.Time
 	hybrid       []Entry
+	// batch and add are refresh scratch: the new tail in arrival order
+	// and as policy-sorted entries. Never published.
+	batch []appliedEntry
+	add   []Entry
 }
 
 // NewCluster builds a Cluster over the given network.
@@ -548,7 +543,7 @@ func (c *Cluster) propagationDelay(src, dst simnet.Site, id string) time.Duratio
 func (c *Cluster) enqueue(r *replica, src simnet.Site, e Entry, at time.Time) {
 	sh := r.shard(e.ID)
 	sh.mu.Lock()
-	heap.Push(&sh.pending, pendingDelivery{at: at, seq: c.schedSeq.Add(1), src: src, e: e})
+	sh.pending.push(due[pendingDelivery]{at: at, seq: c.schedSeq.Add(1), v: pendingDelivery{src: src, e: e}})
 	c.wheelSchedule(r, sh, sh.pending[0].at)
 	sh.mu.Unlock()
 }
@@ -620,15 +615,16 @@ func sortApplied(recs []appliedEntry) {
 
 // refreshLocked brings the cached timelines up to date. It collects only
 // the entries each shard applied since the last refresh (per-shard
-// offsets) and splices them into the cached merged timeline; because
-// apply stamps are non-decreasing, the splice point is almost always the
-// very end. A Reset (shard log shrank) falls back to a full rebuild.
-// Caller holds r.cache.mu.
-func (r *replica) refreshLocked(p TimestampPolicy) {
+// offsets) and splices them into the cached timeline: the policy-sorted
+// one when arrival is false (OrderTimestamp), the merged arrival order
+// otherwise. Apply stamps are non-decreasing and new writes carry the
+// newest creation stamps, so the splice point is almost always the very
+// end. A Reset (shard log shrank) falls back to a full rebuild. Caller
+// holds r.cache.mu.
+func (r *replica) refreshLocked(p TimestampPolicy, arrival bool) {
 	cc := &r.cache
 	n := len(r.shards)
 	full := len(cc.gens) == 0
-	var batch []appliedEntry
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 	}
@@ -637,18 +633,18 @@ func (r *replica) refreshLocked(p TimestampPolicy) {
 			full = true
 		}
 	}
-	if full {
-		total := 0
-		for _, sh := range r.shards {
-			total += len(sh.recs)
+	batch, add := cc.batch[:0], cc.add[:0]
+	for i, sh := range r.shards {
+		recs := sh.recs
+		if !full {
+			recs = recs[cc.offsets[i]:]
 		}
-		batch = make([]appliedEntry, 0, total)
-		for _, sh := range r.shards {
-			batch = append(batch, sh.recs...)
+		if arrival {
+			batch = append(batch, recs...)
+			continue
 		}
-	} else {
-		for i, sh := range r.shards {
-			batch = append(batch, sh.recs[cc.offsets[i]:]...)
+		for _, rec := range recs {
+			add = append(add, rec.e)
 		}
 	}
 	// Snapshot the generations and offsets into the cache's own slices,
@@ -661,100 +657,108 @@ func (r *replica) refreshLocked(p TimestampPolicy) {
 	for i := n - 1; i >= 0; i-- {
 		r.shards[i].mu.Unlock()
 	}
-	sortApplied(batch)
-	switch {
-	case full || len(cc.merged) == 0:
-		cc.merged = batch
-		cc.sorted = nil
-	case len(batch) > 0:
-		// The policy-sorted rendering is a pure set sort, so only the
-		// new entries need merging into it. Appending past a published
-		// slice's length is safe: readers' headers only cover [0:len).
-		if cc.sorted != nil {
-			add := make([]Entry, len(batch))
-			for i, rec := range batch {
-				add[i] = rec.e
-			}
-			slices.SortStableFunc(add, p.compare)
-			if n := len(cc.sorted); n == 0 || !p.less(add[0], cc.sorted[n-1]) {
-				cc.sorted = append(cc.sorted, add...)
-			} else {
-				cc.sorted = mergePolicySorted(cc.sorted, add, p)
-			}
-		}
-		// Entries already cached with an apply stamp at or after the
-		// batch's earliest must be re-ordered together with it; under a
-		// monotone clock that is only the equal-stamp boundary.
-		cut := len(cc.merged)
-		for cut > 0 && !cc.merged[cut-1].at.Before(batch[0].at) {
-			cut--
-		}
-		if cut == len(cc.merged) {
-			cc.merged = append(cc.merged, batch...)
+	if arrival {
+		add = cc.refreshMerged(batch, add, full, p)
+	} else {
+		slices.SortStableFunc(add, p.compare)
+		if full {
+			cc.sorted = append([]Entry(nil), add...)
 		} else {
-			tail := make([]appliedEntry, 0, len(cc.merged)-cut+len(batch))
-			tail = append(tail, cc.merged[cut:]...)
-			tail = append(tail, batch...)
-			sortApplied(tail)
-			cc.merged = append(cc.merged[:cut:cut], tail...)
+			cc.sorted = appendPolicySorted(cc.sorted, add, p)
 		}
 	}
-	cc.hybrid = nil // rendered against the previous merged timeline
+	cc.batch, cc.add = batch, add
+	cc.hybrid = nil // rendered against the previous timeline
 }
 
-// mergePolicySorted merges two policy-sorted entry slices into a new
-// slice.
-func mergePolicySorted(a, b []Entry, p TimestampPolicy) []Entry {
-	out := make([]Entry, 0, len(a)+len(b))
+// refreshMerged splices the new tail batch into the merged arrival
+// timeline and, when it is already built, the policy-sorted one. add is
+// scratch for the latter; the grown buffer is returned. Caller holds
+// cc.mu.
+func (cc *timelineCache) refreshMerged(batch []appliedEntry, add []Entry, full bool, p TimestampPolicy) []Entry {
+	sortApplied(batch)
+	if full || len(cc.merged) == 0 {
+		cc.merged = append([]appliedEntry(nil), batch...)
+		cc.sorted = nil
+		return add
+	}
+	if len(batch) == 0 {
+		return add
+	}
+	// The policy-sorted rendering is a pure set sort, so only the new
+	// entries need merging into it.
+	if cc.sorted != nil {
+		for _, rec := range batch {
+			add = append(add, rec.e)
+		}
+		slices.SortStableFunc(add, p.compare)
+		cc.sorted = appendPolicySorted(cc.sorted, add, p)
+	}
+	// Entries already cached with an apply stamp at or after the batch's
+	// earliest must be re-ordered together with it; under a monotone
+	// clock that is only the equal-stamp boundary.
+	cut := len(cc.merged)
+	for cut > 0 && !cc.merged[cut-1].at.Before(batch[0].at) {
+		cut--
+	}
+	if cut == len(cc.merged) {
+		cc.merged = append(cc.merged, batch...)
+	} else {
+		tail := make([]appliedEntry, 0, len(cc.merged)-cut+len(batch))
+		tail = append(tail, cc.merged[cut:]...)
+		tail = append(tail, batch...)
+		sortApplied(tail)
+		cc.merged = append(cc.merged[:cut:cut], tail...)
+	}
+	return add
+}
+
+// appendPolicySorted adds the policy-sorted entries add to the
+// policy-sorted timeline sorted. When add sorts after the whole
+// timeline it appends in place: a published slice's readers only cover
+// [0:len), so writing past it is safe. Otherwise it merges the two into
+// a new slice and leaves sorted untouched.
+func appendPolicySorted(sorted, add []Entry, p TimestampPolicy) []Entry {
+	if len(add) == 0 {
+		return sorted
+	}
+	if n := len(sorted); n == 0 || !p.less(add[0], sorted[n-1]) {
+		return append(sorted, add...)
+	}
+	out := make([]Entry, 0, len(sorted)+len(add))
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if p.less(b[j], a[i]) {
-			out = append(out, b[j])
+	for i < len(sorted) && j < len(add) {
+		if p.less(add[j], sorted[i]) {
+			out = append(out, add[j])
 			j++
 		} else {
-			out = append(out, a[i])
+			out = append(out, sorted[i])
 			i++
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	out = append(out, sorted[i:]...)
+	return append(out, add[j:]...)
 }
 
-// timeline returns the replica's merged arrival-order log and, when
-// needSorted, its policy-sorted rendering. The returned slices are
-// immutable once published; Read extracts copies without holding the
-// cache lock.
-func (r *replica) timeline(c *Cluster, needSorted bool) (merged []appliedEntry, sorted []Entry) {
-	p := c.cfg.Policy
+// sortedLocked returns the policy-sorted timeline, building it from the
+// merged one on first use when the replica keeps arrival order. Caller
+// holds r.cache.mu and has refreshed the cache.
+func (r *replica) sortedLocked(p TimestampPolicy) []Entry {
 	cc := &r.cache
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if len(cc.gens) == 0 || !r.gensCurrent(cc.gens) {
-		r.refreshLocked(p)
-	}
-	merged = cc.merged
-	if needSorted {
-		if cc.sorted == nil {
-			cc.sorted = sortEntriesByPolicy(merged, p)
+	if cc.sorted == nil && cc.merged != nil {
+		cc.sorted = make([]Entry, len(cc.merged))
+		for i, rec := range cc.merged {
+			cc.sorted[i] = rec.e
 		}
-		sorted = cc.sorted
+		slices.SortStableFunc(cc.sorted, p.compare)
 	}
-	return merged, sorted
+	return cc.sorted
 }
 
-// sortEntriesByPolicy extracts the entries and sorts them under the
-// policy.
-func sortEntriesByPolicy(recs []appliedEntry, p TimestampPolicy) []Entry {
-	out := make([]Entry, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.e
-	}
-	slices.SortStableFunc(out, p.compare)
-	return out
-}
-
-// Read returns a copy of dc's log in the cluster's read-time order.
-func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
+// timeline returns dc's log in the cluster's read-time order, as a
+// published cache timeline the caller must not modify (OrderArrival
+// renders a fresh slice from the merged timeline).
+func (c *Cluster) timeline(dc simnet.Site) ([]Entry, error) {
 	r, ok := c.replicas[dc]
 	if !ok {
 		return nil, fmt.Errorf("store: no replica at %s", dc)
@@ -763,25 +767,50 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 	if order == OrderHybrid && !c.hybridOn.Load() {
 		order = OrderTimestamp
 	}
+	cc := &r.cache
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.gens) == 0 || !r.gensCurrent(cc.gens) {
+		r.refreshLocked(c.cfg.Policy, c.cfg.Order != OrderTimestamp)
+	}
 	switch order {
 	case OrderArrival:
-		merged, _ := r.timeline(c, false)
-		out := make([]Entry, len(merged))
-		for i, rec := range merged {
+		out := make([]Entry, len(cc.merged))
+		for i, rec := range cc.merged {
 			out[i] = rec.e
 		}
 		return out, nil
 	case OrderTimestamp:
-		_, sorted := r.timeline(c, true)
-		out := make([]Entry, len(sorted))
-		copy(out, sorted)
-		return out, nil
+		return r.sortedLocked(c.cfg.Policy), nil
 	default: // OrderHybrid
-		return r.hybridTimeline(c, c.clock.Now().Add(-c.cfg.NormalizeAfter)), nil
+		return r.hybridLocked(c, c.clock.Now().Add(-c.cfg.NormalizeAfter)), nil
 	}
 }
 
-// hybridTimeline renders the OrderHybrid timeline through the cutoff-
+// Read returns a copy of dc's log in the cluster's read-time order.
+func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
+	entries, err := c.timeline(dc)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(entries))
+	copy(out, entries)
+	return out, nil
+}
+
+// View is Read without the copy: it returns dc's log in read-time order
+// as a slice shared with the store and with every other reader of the
+// same timeline. Callers must treat it as read-only — never modify its
+// elements or append to it. A view stays valid, and reads the same,
+// across later writes, deliveries and Resets: the store never changes a
+// published timeline, it appends past its length or builds a new one.
+// Reads at one replica between two applies return the same view.
+func (c *Cluster) View(dc simnet.Site) ([]Entry, error) {
+	entries, err := c.timeline(dc)
+	return entries[:len(entries):len(entries)], err
+}
+
+// hybridLocked renders the OrderHybrid timeline through the cutoff-
 // keyed cache: entries created before the cutoff in policy order, the
 // rest in arrival order. Instead of re-partitioning and re-sorting the
 // whole timeline per read, it exploits two invariants:
@@ -796,34 +825,31 @@ func (c *Cluster) Read(dc simnet.Site) ([]Entry, error) {
 //
 // The rendered slice is memoized per (generation snapshot, cutoff);
 // under the discrete-event clock many consecutive reads share a virtual
-// instant and hit it outright.
-func (r *replica) hybridTimeline(c *Cluster, cutoff time.Time) []Entry {
+// instant and hit it outright. Caller holds r.cache.mu and has
+// refreshed the cache.
+func (r *replica) hybridLocked(c *Cluster, cutoff time.Time) []Entry {
 	cc := &r.cache
-	cc.mu.Lock()
-	if len(cc.gens) == 0 || !r.gensCurrent(cc.gens) {
-		r.refreshLocked(c.cfg.Policy)
-	}
 	if cc.hybrid == nil || !cc.hybridCutoff.Equal(cutoff) {
-		if cc.sorted == nil {
-			cc.sorted = sortEntriesByPolicy(cc.merged, c.cfg.Policy)
-		}
-		merged, sorted := cc.merged, cc.sorted
+		sorted := r.sortedLocked(c.cfg.Policy)
+		merged := cc.merged
 		i := sort.Search(len(merged), func(i int) bool { return !merged[i].at.Before(cutoff) })
-		fresh := make([]Entry, 0, len(merged)-i)
+		fresh := 0
 		for _, rec := range merged[i:] {
 			if !rec.e.CreatedAt.Before(cutoff) {
-				fresh = append(fresh, rec.e)
+				fresh++
 			}
 		}
 		out := make([]Entry, 0, len(merged))
-		out = append(out, sorted[:len(merged)-len(fresh)]...)
-		cc.hybrid = append(out, fresh...)
+		out = append(out, sorted[:len(merged)-fresh]...)
+		for _, rec := range merged[i:] {
+			if !rec.e.CreatedAt.Before(cutoff) {
+				out = append(out, rec.e)
+			}
+		}
+		cc.hybrid = out
 		cc.hybridCutoff = cutoff
 	}
-	out := make([]Entry, len(cc.hybrid))
-	copy(out, cc.hybrid)
-	cc.mu.Unlock()
-	return out
+	return cc.hybrid
 }
 
 // Len returns the number of entries at dc's replica.
@@ -880,9 +906,12 @@ func (c *Cluster) resetTo(epoch uint64) {
 		r := c.replicas[site]
 		for _, sh := range r.shards {
 			sh.mu.Lock()
-			sh.recs = nil
+			// The shard log and queue are never published, so their
+			// backing arrays are kept, cleared, for the next epoch.
+			clear(sh.recs)
+			sh.recs = sh.recs[:0]
 			clear(sh.appliedAt)
-			sh.pending = nil
+			sh.pending.reset()
 			c.wheelUnregister(sh)
 			sh.gen.Add(1)
 			sh.mu.Unlock()

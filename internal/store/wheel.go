@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -24,7 +23,7 @@ import (
 // instants without the wheel and checks the store against them.
 type timerWheel struct {
 	mu    sync.Mutex
-	queue wheelQueue
+	queue dueHeap[wheelEntry] // registrations by (due time, registration order)
 	seq   uint64
 
 	timer    vtime.Timer
@@ -33,34 +32,15 @@ type timerWheel struct {
 	// firing suppresses re-arming by concurrent registrations while a
 	// fire is draining shards; the fire re-arms once at the end.
 	firing bool
+	// drain is the fire's scratch list of shards to drain; firing
+	// serializes its use.
+	drain []wheelEntry
 }
 
-// wheelEntry is one registered (due time, shard) pair.
+// wheelEntry is the shard a registration drains.
 type wheelEntry struct {
-	at  time.Time
-	seq uint64
-	r   *replica
-	sh  *shard
-}
-
-// wheelQueue is a min-heap of registrations by (at, seq).
-type wheelQueue []wheelEntry
-
-func (q wheelQueue) Len() int { return len(q) }
-func (q wheelQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
-}
-func (q wheelQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *wheelQueue) Push(x interface{}) { *q = append(*q, x.(wheelEntry)) }
-func (q *wheelQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	r  *replica
+	sh *shard
 }
 
 // wheelSchedule registers sh for a drain at `at` (the head of its
@@ -76,7 +56,7 @@ func (c *Cluster) wheelSchedule(r *replica, sh *shard, at time.Time) {
 	}
 	sh.wheelAt = at
 	w.seq++
-	heap.Push(&w.queue, wheelEntry{at: at, seq: w.seq, r: r, sh: sh})
+	w.queue.push(due[wheelEntry]{at: at, seq: w.seq, v: wheelEntry{r: r, sh: sh}})
 	if !w.firing && (w.timer == nil || at.Before(w.armedAt)) {
 		c.armWheelLocked(at)
 	}
@@ -120,24 +100,26 @@ func (c *Cluster) wheelFire(gen uint64) {
 	w.timer = nil
 	w.firing = true
 	now := c.clock.Now()
-	var due []wheelEntry
-	for w.queue.Len() > 0 && !w.queue[0].at.After(now) {
-		ent := heap.Pop(&w.queue).(wheelEntry)
-		if ent.sh.wheelAt.Equal(ent.at) {
-			ent.sh.wheelAt = time.Time{}
-			due = append(due, ent)
+	fire := w.drain[:0]
+	for len(w.queue) > 0 && !w.queue[0].at.After(now) {
+		ent := w.queue.pop()
+		if ent.v.sh.wheelAt.Equal(ent.at) {
+			ent.v.sh.wheelAt = time.Time{}
+			fire = append(fire, ent.v)
 		}
 	}
 	w.mu.Unlock()
-	for _, ent := range due {
+	for _, ent := range fire {
 		c.drainShard(ent.r, ent.sh)
 	}
 	w.mu.Lock()
+	clear(fire)
+	w.drain = fire
 	w.firing = false
-	for w.queue.Len() > 0 && !w.queue[0].sh.wheelAt.Equal(w.queue[0].at) {
-		heap.Pop(&w.queue) // discard superseded registrations
+	for len(w.queue) > 0 && !w.queue[0].v.sh.wheelAt.Equal(w.queue[0].at) {
+		w.queue.pop() // discard superseded registrations
 	}
-	if w.queue.Len() > 0 {
+	if len(w.queue) > 0 {
 		c.armWheelLocked(w.queue[0].at)
 	}
 	w.mu.Unlock()
@@ -151,16 +133,16 @@ func (c *Cluster) drainShard(r *replica, sh *shard) {
 	now := c.clock.Now()
 	sh.mu.Lock()
 	for len(sh.pending) > 0 && !sh.pending[0].at.After(now) {
-		d := heap.Pop(&sh.pending).(pendingDelivery)
-		if d.e.epoch != c.epoch.Load() {
+		d := sh.pending.pop()
+		if d.v.e.epoch != c.epoch.Load() {
 			continue // stale delivery from before a Reset
 		}
-		if !c.net.Reachable(d.src, r.site) {
+		if !c.net.Reachable(d.v.src, r.site) {
 			d.at = now.Add(c.cfg.RetryInterval)
-			heap.Push(&sh.pending, d)
+			sh.pending.push(d)
 			continue
 		}
-		c.applyLocked(sh, d.e, now)
+		c.applyLocked(sh, d.v.e, now)
 	}
 	if len(sh.pending) > 0 {
 		c.wheelSchedule(r, sh, sh.pending[0].at)

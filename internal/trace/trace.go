@@ -68,7 +68,8 @@ type Read struct {
 	Invoked  time.Time `json:"invoked"`
 	Returned time.Time `json:"returned"`
 	// Observed is the sequence of write IDs returned by the service, in
-	// service order.
+	// service order. Reads that observed the same state may share one
+	// slice, so consumers must not modify it.
 	Observed []WriteID `json:"observed"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,7 +26,14 @@ import (
 type Sim struct {
 	mu sync.Mutex
 
-	now   time.Time
+	now time.Time
+	// start and elapsed publish now without mu: now is always
+	// start.Add(elapsed), stored on every advance, so Now — the
+	// engine's most frequent call — is one atomic load, and a lane
+	// worker reading another goroutine's running Sim stays race-free.
+	start   time.Time
+	elapsed atomic.Int64
+
 	seq   uint64
 	queue eventQueue
 	alive int // actors started and not yet finished
@@ -41,7 +49,7 @@ var _ Runtime = (*Sim)(nil)
 
 // NewSim returns a Sim whose virtual clock starts at start.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	return &Sim{now: start, start: start}
 }
 
 // Runtime is the execution environment shared by simulated and live runs:
@@ -69,9 +77,13 @@ type Group interface {
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
+	return s.start.Add(time.Duration(s.elapsed.Load()))
+}
+
+// setNowLocked advances the virtual clock to t. Caller holds mu.
+func (s *Sim) setNowLocked(t time.Time) {
+	s.now = t
+	s.elapsed.Store(int64(t.Sub(s.start)))
 }
 
 // Since returns the virtual time elapsed since t.
@@ -94,7 +106,7 @@ func (s *Sim) Sleep(d time.Duration) {
 	// coroutine switches. A strict Before keeps same-instant events
 	// firing in FIFO order.
 	if s.head == len(s.ready) && (s.queue.Len() == 0 || at.Before(s.queue[0].at)) {
-		s.now = at
+		s.setNowLocked(at)
 		s.mu.Unlock()
 		return
 	}
@@ -200,7 +212,7 @@ func (s *Sim) advanceLocked() {
 			continue
 		}
 		ev.fired = true
-		s.now = ev.at
+		s.setNowLocked(ev.at)
 		if ev.w != nil {
 			s.ready = append(s.ready, ev.w)
 		} else {

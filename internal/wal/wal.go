@@ -7,15 +7,19 @@
 // Record framing: every record is [4-byte little-endian payload length]
 // [4-byte little-endian IEEE CRC32 of the payload][payload]. Replay
 // walks the frames sequentially; a record cut short by a crash — the
-// frame extends past the end of the file, or its checksum fails on the
-// very last frame — is the classic torn tail: it is dropped, noted, and
-// physically truncated away so subsequent appends start from a clean
-// offset. Damage anywhere before the final frame cannot be
-// distinguished from data loss and is reported as a *CorruptError
-// positioned by byte offset — or, when the caller opted into
-// Quarantine, the whole damaged file is set aside as a .corrupt sidecar
-// and the log reopens empty, for callers that can re-source the data
-// (a cluster follower rejoins via the leader's snapshot stream).
+// frame extends past the end of the file (and is not an intact record
+// behind a length field one bit off), or the very last frame fails
+// its checksum and holds an all-zero sector-aligned chunk (the file grew
+// but a sector never landed) — is the classic torn tail: it is dropped,
+// noted, and physically truncated away so subsequent appends start from
+// a clean offset. Any other damage — anywhere before the final frame,
+// or a full-length final frame whose checksum fails without a zeroed
+// sector (rot, not a torn write) — cannot be distinguished from data
+// loss and is reported as a *CorruptError positioned by byte offset —
+// or, when the caller opted into Quarantine, the whole damaged file is
+// set aside as a .corrupt sidecar and the log reopens empty, for
+// callers that can re-source the data (a cluster follower rejoins via
+// the leader's snapshot stream).
 //
 // Group commit: concurrent Append calls each write their frame under
 // the log's lock, then meet at the sync gate. The first appender
@@ -260,18 +264,28 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 		}
 		end := off + frameHeader + length
 		if end > size {
+			if rotLength(data[off+frameHeader:], length, stored) {
+				// Not short after all: the bytes that are there hold an
+				// intact record whose length field lost a bit.
+				return Replay{}, 0, &CorruptError{Path: path, Offset: off,
+					Reason: fmt.Sprintf("record length %d is one bit off an intact record", length)}
+			}
 			torn("frame extends past end of file")
 			return rep, off, nil
 		}
 		payload := data[off+frameHeader : end]
 		if got := crc32.ChecksumIEEE(payload); got != stored {
-			if end == size {
-				// Garbage in the very last frame: a crash mid-write.
-				torn(fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", stored, got))
+			reason := fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", stored, got)
+			if end == size && zeroSector(payload, off+frameHeader) {
+				// A crash after the file grew but before one of the
+				// frame's sectors reached the disk.
+				torn(reason + " in a zero-filled sector")
 				return rep, off, nil
 			}
-			return Replay{}, 0, &CorruptError{Path: path, Offset: off,
-				Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", stored, got)}
+			// A full-length frame whose sectors all landed yet fails its
+			// checksum is rot, not a torn write: dropping it could lose
+			// an acknowledged record.
+			return Replay{}, 0, &CorruptError{Path: path, Offset: off, Reason: reason}
 		}
 		rec := make([]byte, length)
 		copy(rec, payload)
@@ -279,6 +293,50 @@ func scan(r io.Reader, path string) (Replay, int64, error) {
 		off = end
 	}
 	return rep, off, nil
+}
+
+// sectorSize is the write unit a crash can leave unwritten: the
+// smallest disk sector.
+const sectorSize = 512
+
+// zeroSector reports whether any sector-aligned chunk of b, which
+// starts at byte offset off of the file, is all zeros — what a crash
+// leaves where a sector of an interrupted write never landed. This is
+// etcd's isTornEntry rule.
+func zeroSector(b []byte, off int64) bool {
+	for len(b) > 0 {
+		n := int(sectorSize - off%sectorSize)
+		if n > len(b) {
+			n = len(b)
+		}
+		zero := true
+		for _, c := range b[:n] {
+			if c != 0 {
+				zero = false
+				break
+			}
+		}
+		if zero {
+			return true
+		}
+		b, off = b[n:], off+int64(n)
+	}
+	return false
+}
+
+// rotLength reports whether a frame that claims length bytes but runs
+// past the end of the file is really a rotted length field: some length
+// one bit away from it fits in rest and checksums to stored. A torn
+// write leaves a strict prefix of its payload, which matches the full
+// record's checksum only by a 2^-32 accident.
+func rotLength(rest []byte, length int64, stored uint32) bool {
+	for bit := 0; bit < 32; bit++ {
+		n := length ^ 1<<bit
+		if n <= int64(len(rest)) && crc32.ChecksumIEEE(rest[:n]) == stored {
+			return true
+		}
+	}
+	return false
 }
 
 // Append writes one record and returns once it is durable (unless the

@@ -161,28 +161,116 @@ func TestMidFileCorruption(t *testing.T) {
 	}
 }
 
-// TestCorruptLastFrameIsTorn checks damage confined to the final frame
-// counts as a torn tail, not corruption.
-func TestCorruptLastFrameIsTorn(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.log")
-	openAppend(t, path, "keep", "lose")
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestTornLastFrameIsDropped checks the two shapes an interrupted
+// final write leaves — a frame cut short by the end of the file, and a
+// full-length frame with a sector that never landed (all zeros) — are
+// dropped as a torn tail with a note, keeping the records before them.
+func TestTornLastFrameIsDropped(t *testing.T) {
+	big := strings.Repeat("y", 1500) // spans sector boundaries
+	for _, tc := range []struct {
+		name   string
+		damage func(full []byte) []byte
+	}{
+		{"short", func(full []byte) []byte { return full[:len(full)-2] }},
+		{"zero-filled", func(full []byte) []byte {
+			clear(full[len(full)-len(big):])
+			return full
+		}},
+		{"one-zero-sector", func(full []byte) []byte {
+			// Zero exactly one sector-aligned chunk inside the frame.
+			clear(full[sectorSize : 2*sectorSize])
+			return full
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.log")
+			openAppend(t, path, "keep", big)
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(full), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := Open(path, Options{})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			if len(rep.Records) != 1 || string(rep.Records[0]) != "keep" {
+				t.Fatalf("records = %q, want [keep]", rep.Records)
+			}
+			if rep.Note == "" || rep.Quarantined {
+				t.Errorf("note %q quarantined %t, want a torn-tail note", rep.Note, rep.Quarantined)
+			}
+		})
 	}
-	full[len(full)-1] ^= 0xFF
-	if err := os.WriteFile(path, full, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestRottedLastFrameIsCorrupt checks damage to a full-length final
+// frame is rot rather than a torn write — a flipped payload byte with
+// no zeroed sector, or a flipped length bit that makes the intact
+// record look cut short: Open reports a *CorruptError instead of
+// silently dropping a record that may have been acknowledged, and a
+// quarantining caller gets the file set aside.
+func TestRottedLastFrameIsCorrupt(t *testing.T) {
+	const last = frameHeader + 4 // "keep"'s frame precedes the final one
+	for _, tc := range []struct {
+		name   string
+		damage func(full []byte)
+	}{
+		{"payload-byte", func(full []byte) { full[len(full)-1] ^= 0xFF }},
+		{"length-bit", func(full []byte) { full[last+1] ^= 0x04 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.log")
+			openAppend(t, path, "keep", "lose")
+			full, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(full)
+			if err := os.WriteFile(path, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = Open(path, Options{})
+			var ce *CorruptError
+			if !errors.As(err, &ce) || ce.Offset != last {
+				t.Fatalf("Open: %v, want *CorruptError at the final frame", err)
+			}
+			l, rep, err := Open(path, Options{Quarantine: true})
+			if err != nil {
+				t.Fatalf("Open with quarantine: %v", err)
+			}
+			defer l.Close()
+			if !rep.Quarantined || len(rep.Records) != 0 {
+				t.Fatalf("quarantined %t records %q, want quarantine and no records", rep.Quarantined, rep.Records)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("no sidecar: %v", err)
+			}
+		})
 	}
-	_, rep, err := Open(path, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+}
+
+// TestZeroSectorChunks pins the torn-sector rule: chunks split on
+// file-offset sector boundaries, and only a wholly zero chunk counts.
+func TestZeroSectorChunks(t *testing.T) {
+	b := make([]byte, 3*sectorSize)
+	for i := range b {
+		b[i] = 1
 	}
-	if len(rep.Records) != 1 || string(rep.Records[0]) != "keep" {
-		t.Fatalf("records = %q, want [keep]", rep.Records)
+	if zeroSector(b, 0) {
+		t.Fatal("no zero chunk reported as torn")
 	}
-	if rep.Note == "" {
-		t.Error("expected a torn-tail note")
+	// At file offset 100 the first chunk is b[:412]; zeroing b[412:924]
+	// zeroes exactly the second chunk.
+	clear(b[sectorSize-100 : 2*sectorSize-100])
+	if !zeroSector(b, 100) {
+		t.Fatal("zero chunk aligned to the file's sectors not found")
+	}
+	// The same bytes straddle two chunks at file offset 0.
+	if zeroSector(b, 0) {
+		t.Fatal("zeros straddling a sector boundary reported as torn")
 	}
 }
 

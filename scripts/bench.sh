@@ -48,6 +48,15 @@ echo "$spawnraw"
 handoffraw=$(go test -run '^$' -bench 'BenchmarkSimHandoff$' -benchtime 200000x .)
 echo "$handoffraw"
 
+# The engine's layers below the probe: one fbgroup simulated read (the
+# entry-level view the engine records from, and Read with its []Post
+# conversion) and one simnet one-way delay draw, as ns/op and
+# allocs/op.
+readraw=$(go test -run '^$' -bench 'BenchmarkServiceRead/' -benchtime 20000x ./internal/service)
+echo "$readraw"
+simnetraw=$(go test -run '^$' -bench 'BenchmarkSimnetOneWay$' -benchtime 200000x ./internal/simnet)
+echo "$simnetraw"
+
 # A short closed-loop conload run against the in-process fbgroup profile
 # records end-to-end service latency percentiles next to the
 # microbenchmarks.
@@ -162,6 +171,31 @@ END {
 }
 END {
 	if (!found) printf "  \"sim_handoff\": null,\n"
+}'
+	echo "$readraw" | awk '
+function entry(name) {
+	if (name in ns)
+		return sprintf("{\"ns_per_op\": %d, \"allocs_per_op\": %d}", ns[name], allocs[name])
+	return "null"
+}
+/^BenchmarkServiceRead\/(view|posts)(-[0-9]+)?[ \t]/ {
+	name = $1
+	sub(/^BenchmarkServiceRead\//, "", name)
+	sub(/-[0-9]+$/, "", name)
+	ns[name] = $3
+	allocs[name] = $7
+}
+END {
+	printf "  \"service_read\": {\"view\": %s, \"posts\": %s},\n", entry("view"), entry("posts")
+}'
+	echo "$simnetraw" | awk '
+/^BenchmarkSimnetOneWay(-[0-9]+)?[ \t]/ {
+	printf "  \"simnet\": {\"ns_per_op\": %d, \"allocs_per_op\": %d},\n", $3, $7
+	found = 1
+	exit
+}
+END {
+	if (!found) printf "  \"simnet\": null,\n"
 }'
 	printf '  "conload": '
 	cat "$loadtmp"

@@ -6,17 +6,18 @@
 # sweeps — under the race detector, one seed at a time so a red run
 # names the exact losing seed.
 #
-#   DISKCHAOS_SEEDS="1 2 3 4 5"   seeds to sweep (default 1..5)
-#   DISKCHAOS_SEED_OUT=path       losing seed written here (CI uploads
-#                                 it as an artifact; rerun locally with
-#                                 DISKCHAOS_SEED=<n>)
+#   DISKCHAOS_SEEDS="1 2 3"   seeds to sweep (default 1..8, the
+#                             seeds CI sweeps)
+#   DISKCHAOS_SEED_OUT=path   losing seed written here (CI uploads it
+#                             as an artifact; rerun locally with
+#                             DISKCHAOS_SEED=<n>)
 #
 # Run from the repository root or anywhere inside it.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-seeds=${DISKCHAOS_SEEDS:-"1 2 3 4 5"}
+seeds=${DISKCHAOS_SEEDS:-"1 2 3 4 5 6 7 8"}
 pkgs="./internal/cluster ./internal/checkpoint ./internal/wal ./internal/diskfault ./internal/store"
 sweep='TestDiskFaultSweep|TestJournalFaultSweep'
 
